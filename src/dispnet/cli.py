@@ -12,9 +12,7 @@ reading set as the human-readable report.
 ``--mode net`` accepts any linking whose abstract proof structure
 contracts to a comb; the default ``parse`` mode additionally requires
 the comb to spell the expected string (the sentence for ``parse``, the
-stated goal term for ``prove``). With ``--jobs N``, candidate linkings
-are checked by a process pool; results are re-ordered to enumeration
-order, so the output does not depend on scheduling.
+stated goal term for ``prove``).
 """
 
 from __future__ import annotations
@@ -22,9 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import islice
 
 from . import formula as fm
 from . import lexicon as lx
@@ -57,28 +53,8 @@ class ParseResult:
         return [e for e in self.errors if isinstance(e, CountMismatch)]
 
 
-def _check_candidate(args):
-    ps, terms, sig, expected = args
-    return is_proof_net(ps, terms, sig, expected)
-
-
-def _verdicts(stream, terms, sig, expected, jobs):
-    """NetVerdicts for a stream of candidate structures, in order."""
-    if jobs <= 1:
-        for ps in stream:
-            yield is_proof_net(ps, terms, sig, expected)
-        return
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        while True:
-            batch = list(islice(stream, jobs * 4))
-            if not batch:
-                return
-            work = [(ps, terms, sig, expected) for ps in batch]
-            yield from pool.map(_check_candidate, work)
-
-
 def run_sequent(hyp_pairs, goal_formula, sig, expected=None, mode="parse",
-                all_readings=False, jobs=1, cover=()):
+                all_readings=False, cover=()):
     """Decide one sequent; hyp_pairs are (StringTerm, Formula)."""
     result = ParseResult(tokens=[], goal=goal_formula)
     frame = unfold([f for _, f in hyp_pairs], goal_formula, sig)
@@ -89,9 +65,9 @@ def run_sequent(hyp_pairs, goal_formula, sig, expected=None, mode="parse",
     except CountMismatch as exc:
         result.errors.append(exc)
         return result
-    verdict_stream = _verdicts(stream, terms, sig, want, jobs)
     seen = []
-    for i, verdict in enumerate(verdict_stream):
+    for i, ps in enumerate(stream):
+        verdict = is_proof_net(ps, terms, sig, want)
         result.linkings_tried = i + 1
         if verdict.kind != "stuck":
             result.nets_found += 1
@@ -109,15 +85,14 @@ def run_sequent(hyp_pairs, goal_formula, sig, expected=None, mode="parse",
     return result
 
 
-def run_parse(grammar, tokens, goal=None, mode="parse", all_readings=False,
-              jobs=1):
+def run_parse(grammar, tokens, goal=None, mode="parse", all_readings=False):
     goal = goal if goal is not None else grammar.goal_default
     combined = ParseResult(tokens=list(tokens), goal=goal)
     expected = tm.StringTerm(tuple(tokens))
     for cover in lx.lexical_covers(grammar, tokens):
         hyp_pairs = [(m.entry.string, m.entry.formula) for m in cover]
         sub = run_sequent(hyp_pairs, goal, grammar.signature, expected,
-                          mode, all_readings, jobs, cover)
+                          mode, all_readings, cover)
         combined.linkings_tried += sub.linkings_tried
         combined.nets_found += sub.nets_found
         combined.step_counts.extend(sub.step_counts)
@@ -252,6 +227,14 @@ def _print_result(result, mode, latex, trace, out=None):
 # -- subcommands -----------------------------------------------------------
 
 
+def _input_error(exc) -> int:
+    """Report unusable input; exit code 2."""
+    if isinstance(exc, RecursionError):
+        exc = "input nested too deeply"
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
+
+
 def cmd_parse(args) -> int:
     try:
         grammar = lx.load_grammar(open(args.grammar).read())
@@ -260,9 +243,8 @@ def cmd_parse(args) -> int:
             bad = fm.well_sorted(goal, grammar.signature)
             if bad:
                 raise ValueError("; ".join(bad))
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (OSError, ValueError, RecursionError) as exc:
+        return _input_error(exc)
     tokens = args.sentence.split()
     vocabulary = {
         w for e in grammar.all_entries() for w in e.string.words()
@@ -271,7 +253,7 @@ def cmd_parse(args) -> int:
     if unknown:
         print(f"error: unknown words: {' '.join(unknown)}", file=sys.stderr)
         return 2
-    result = run_parse(grammar, tokens, goal, args.mode, args.all, args.jobs)
+    result = run_parse(grammar, tokens, goal, args.mode, args.all)
     emit(result, args)
     return 0 if result.readings else 1
 
@@ -288,17 +270,15 @@ def cmd_prove(args) -> int:
         if bad:
             raise ValueError("; ".join(bad))
         hyp_pairs = _fill_terms(hyp_pairs, sig)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (OSError, ValueError, RecursionError) as exc:
+        return _input_error(exc)
     if goal_term is None and not explicit:
         # bare sequent: derivability means the comb spells the
         # hypotheses concatenated in order
         goal_term = tm.EMPTY
         for t, _ in hyp_pairs:
             goal_term = tm.concat(goal_term, t)
-    result = run_sequent(hyp_pairs, goal, sig, goal_term, args.mode,
-                         args.all, args.jobs)
+    result = run_sequent(hyp_pairs, goal, sig, goal_term, args.mode, args.all)
     emit(result, args)
     return 0 if result.readings else 1
 
@@ -307,8 +287,7 @@ def cmd_check(args) -> int:
     try:
         text = open(args.proof).read()
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _input_error(exc)
     sig_lines = []
     proof_lines = []
     for line in text.splitlines():
@@ -320,9 +299,8 @@ def cmd_check(args) -> int:
     try:
         sig = fm.Signature.parse("\n".join(sig_lines))
         proof = nd.nd_from_sexpr("\n".join(proof_lines))
-    except (ValueError, IndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (ValueError, IndexError, RecursionError) as exc:
+        return _input_error(exc)
     violations = nd.check_nd(proof, sig)
     if violations:
         for v in violations:
@@ -364,8 +342,6 @@ def main(argv=None) -> int:
         p.add_argument("--latex", action="store_true", help="include LaTeX proof trees")
         p.add_argument("--mode", choices=("parse", "net"), default="parse",
                        help="parse: comb must spell the expected string; net: contraction suffices")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for candidate checking")
 
     p_parse = sub.add_parser("parse", help="parse a sentence with a grammar")
     p_parse.add_argument("grammar")

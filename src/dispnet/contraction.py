@@ -65,6 +65,7 @@ class ContractionStep:
     rule: str
     consumed: tuple     # element ids removed
     result: int         # comb id produced/extended
+    concl: int          # conclusion vertex of the result comb after the step
     row: str            # rendered row of the result comb
     source: int | None = None  # proof-structure link index, logical steps
 
@@ -367,7 +368,8 @@ def apply_redex(aps: APS, redex: Redex) -> ContractionStep:
                 aps.premiss_at[it.pid] = ("comb", k2.cid)
         aps.drop_point(k1.concl)
         del aps.combs[k1.cid]
-        return ContractionStep("+", (k1.cid,), k2.cid, _render_row(k2.row))
+        return ContractionStep("+", (k1.cid,), k2.cid, k2.concl,
+                               _render_row(k2.row))
 
     if rule == "x":
         t = aps.crosses[redex.element]
@@ -385,7 +387,8 @@ def apply_redex(aps: APS, redex: Redex) -> ContractionStep:
         del aps.combs[kr.cid]
         del aps.crosses[t.tid]
         return ContractionStep(
-            redex.label(), (t.tid, kr.cid), kl.cid, _render_row(kl.row), t.source
+            redex.label(), (t.tid, kr.cid), kl.cid, kl.concl, _render_row(kl.row),
+            t.source
         )
 
     par = aps.pars[redex.element]
@@ -417,7 +420,8 @@ def apply_redex(aps: APS, redex: Redex) -> ContractionStep:
             aps.drop_point(q)
     del aps.pars[par.pid]
     return ContractionStep(
-        redex.label(), (par.pid,), comb.cid, _render_row(comb.row), par.source
+        redex.label(), (par.pid,), comb.cid, comb.concl, _render_row(comb.row),
+        par.source
     )
 
 

@@ -18,10 +18,13 @@ Two constructions tie proofs to proof nets:
   exactly one par link.
 
 * ``extract_nd`` goes the other way: given a verdict that a structure
-  is a net, it rebuilds a natural deduction proof. Par links are peeled
-  off at the last logical contraction of the trace (the structure
-  splits in two there); tensor-only structures are consumed from a
-  hypothesis or the conclusion that is the main formula of its link.
+  is a net, it reads a natural deduction proof off the structure and
+  the verdict's contraction trace, which is a sequentialization. Every
+  tensor link and every implication par link is the one rule that
+  concludes its conclusion (or main) vertex; each product-style par
+  link becomes an elimination wrapped around the proof of the vertex
+  its comb concluded when the trace fired it. Nothing is contracted
+  again.
 
 ``lambek_oracle`` is an independent cut-free sequent prover for the
 /, \\, * fragment over sort-0 atoms, used to cross-check derivability.
@@ -457,59 +460,6 @@ def net_of_nd(p, sig):
 # -- proof net -> proof ----------------------------------------------------
 
 
-def _components(vertices, links, removed_link=None, removed_vertex=None):
-    """Connected components after removing a link (by index) and
-    optionally one vertex. Returns a list of (vertex set, link indexes)."""
-    adj = {v: set() for v in vertices if v != removed_vertex}
-    link_at = {v: [] for v in adj}
-    for i, link in enumerate(links):
-        if i == removed_link:
-            continue
-        vs = [v for v in link.vertices() if v != removed_vertex]
-        for v in vs:
-            link_at[v].append(i)
-            adj[v].update(u for u in vs if u != v)
-    seen = set()
-    comps = []
-    for v in adj:
-        if v in seen:
-            continue
-        stack, comp = [v], set()
-        while stack:
-            u = stack.pop()
-            if u in comp:
-                continue
-            comp.add(u)
-            stack.extend(adj[u] - comp)
-        seen |= comp
-        comps.append((comp, sorted({i for u in comp for i in link_at[u]})))
-    return comps
-
-
-def _component_of(comps, vid):
-    for comp, link_idx in comps:
-        if vid in comp:
-            return comp, link_idx
-    raise ExtractionError(f"vertex {vid} not found in any component")
-
-
-def _sub_structure(ps, comp, link_idx, extra_hyps, goal):
-    vertices = {v: ps.vertices[v] for v in comp}
-    links = [ps.links[i] for i in link_idx]
-    hyps = [h for h in ps.hypotheses if h in comp] + list(extra_hyps)
-    return ProofStructure(vertices, links, hyps, goal)
-
-
-def _tensor_main(link):
-    if link.tag in ("L/", "L^"):
-        return link.premisses[0]
-    if link.tag in ("L\\", "L!"):
-        return link.premisses[1]
-    if link.tag in ("R*", "Ro"):
-        return link.conclusions[0]
-    raise AssertionError(link.tag)
-
-
 def fresh_beyond(terms, prefix="p") -> FreshVars:
     """A fresh-variable source that cannot collide with the words
     already present in the given terms."""
@@ -521,214 +471,69 @@ def fresh_beyond(terms, prefix="p") -> FreshVars:
     return FreshVars(prefix, top + 1)
 
 
+_TENSOR_RULES = {
+    "L/": lambda link, l, r: over_e(l, r),
+    "L\\": lambda link, l, r: under_e(l, r),
+    "L^": lambda link, l, r: up_e(l, r),
+    "L!": lambda link, l, r: down_e(l, r),
+    "R*": lambda link, l, r: prod_i(l, r),
+    "Ro": lambda link, l, r: wrap_i(link.mode, l, r),
+}
+
+_INTRO_RULES = {
+    "R\\": lambda link, aux, body: under_i(aux, body),
+    "R/": lambda link, aux, body: over_i(aux, body),
+    "R^": lambda link, aux, body: up_i(link.mode, aux, body),
+    "R!": lambda link, aux, body: down_i(link.mode, aux, body),
+}
+
+
 def extract_nd(verdict: NetVerdict, sig) -> "Proof":
-    """Rebuild a natural deduction proof from a proof-net verdict."""
+    """Rebuild a natural deduction proof from a proof-net verdict.
+
+    The contraction is a sequentialization, so the proof is read off
+    the structure and its trace in one pass, bottom-up from the goal.
+    Each vertex is concluded by the one rule of the link it is the
+    conclusion (or main vertex) of; vertices no link concludes are
+    hypotheses, and auxiliary vertices are hypotheses with fresh terms.
+    A product-style par link becomes an elimination around the proof of
+    the vertex its comb concluded when the trace fired it: at that
+    point the two withdrawn blocks were adjacent in the comb's row, and
+    later steps only substitute into that proof or build on it."""
     if not verdict.is_net and verdict.kind != "string_mismatch":
         raise ExtractionError("extract_nd needs a contractible structure")
+    ps = verdict.ps
     fresh = fresh_beyond(verdict.hyp_terms.values())
-    proof = _extract(verdict.ps, dict(verdict.hyp_terms), sig, fresh)
-    return proof
+    concluded_by = {v: link for link in ps.links for v in link.conclusions}
+    eliminations = {}  # vertex -> product-style par links, in trace order
+    for step in verdict.trace.steps:
+        if step.rule[0] in "*o":
+            eliminations.setdefault(step.concl, []).append(ps.links[step.source])
 
-
-def _graft(p, label, node):
-    if isinstance(p, Hyp):
-        if p.label == label:
-            if node.formula != p.formula or node.term != p.term:
-                raise ExtractionError("graft does not preserve the leaf sequent")
-            return node
-        return p
-    kids = tuple(_graft(c, label, node) for c in p.children)
-    if kids == p.children:
-        return p
-    return replace(p, children=kids)
-
-
-def _leaf_labels(p) -> set:
-    if isinstance(p, Hyp):
-        return {p.label}
-    out = set()
-    for c in p.children:
-        out |= _leaf_labels(c)
-    return out
-
-
-def _replace_node(p, target, replacement):
-    """Swap one subproof for another, recomputing every ancestor
-    through the validating constructors (their conclusions change when
-    the replacement concludes a different term)."""
-    if p is target:
-        return replacement
-    if isinstance(p, Hyp):
-        return p
-    kids = tuple(_replace_node(c, target, replacement) for c in p.children)
-    if all(a is b for a, b in zip(kids, p.children)):
-        return p
-    return _RULE_FACTORIES[p.name](p, kids)
-
-
-def _graft_elimination(p2, la, lb, make_node):
-    """Place a product-style elimination inside a proof.
-
-    The elimination can only apply where the two withdrawn component
-    strings sit in the required shape, which is at (or sometimes above)
-    the lowest node dominating both hypothesis leaves: rules applied
-    further up may wrap material into the substituted string, so the
-    root is in general too late. Try the lowest common ancestor first,
-    then each ancestor up to the root, rebuilding the spine."""
-    path = [p2]
-    node = p2
-    while isinstance(node, Rule):
-        down = None
-        for c in node.children:
-            labs = _leaf_labels(c)
-            if la in labs and lb in labs:
-                down = c
-                break
-        if down is None:
-            break
-        node = down
-        path.append(node)
-    last_error = None
-    for nu in reversed(path):
-        try:
-            mu = make_node(nu)
-            return _replace_node(p2, nu, mu)
-        except NDError as exc:
-            last_error = exc
-    raise ExtractionError(f"elimination rule failed: {last_error}")
-
-
-def _extract(ps, terms, sig, fresh):
-    par_idx = [i for i, l in enumerate(ps.links) if l.kind == "par"]
-    if par_idx:
-        return _extract_par(ps, terms, sig, fresh)
-    if ps.links:
-        return _extract_tensor(ps, terms, sig, fresh)
-    (vid,) = list(ps.vertices)
-    return Hyp(vid, terms[vid], ps.vertices[vid].formula)
-
-
-def _extract_par(ps, terms, sig, fresh):
-    trace = contract(to_aps(ps, terms, sig))
-    if not trace.contracted:
-        raise ExtractionError("structure does not contract")
-    logical = [s for s in trace.steps if s.rule[0] not in "+x"]
-    src = logical[-1].source
-    link = ps.links[src]
-    comps = _components(ps.vertices, ps.links, removed_link=src)
-    if len(comps) != 2:
-        raise ExtractionError(
-            f"removing par link {src} leaves {len(comps)} components"
-        )
-
-    if link.tag in ("R\\", "R/", "R^", "R!"):
-        w = link.premisses[0]
-        main = link.main
-        aux = next(v for v in link.conclusions if v != main)
-        comp_w, links_w = _component_of(comps, w)
-        comp_v, links_v = _component_of(comps, main)
-        if ps.goal not in comp_v:
-            raise ExtractionError("goal ended up on the wrong side of the split")
-        t_aux = fresh.term(sig.sort_of(ps.vertices[aux].formula))
-        s1 = _sub_structure(ps, comp_w, links_w, [aux], w)
-        p1 = _extract(s1, {**terms, aux: t_aux}, sig, fresh)
-        try:
-            if link.tag == "R\\":
-                inode = under_i(aux, p1)
-            elif link.tag == "R/":
-                inode = over_i(aux, p1)
-            elif link.tag == "R^":
-                inode = up_i(link.mode, aux, p1)
+    def build(v):
+        formula = ps.vertices[v].formula
+        link = concluded_by.get(v)
+        if link is None:
+            proof = Hyp(v, verdict.hyp_terms[v], formula)
+        elif link.kind == "tensor":
+            proof = _TENSOR_RULES[link.tag](link, *map(build, link.premisses))
+        elif link.main == v:
+            (aux,) = (u for u in link.conclusions if u != v)
+            proof = _INTRO_RULES[link.tag](link, aux, build(link.premisses[0]))
+        else:
+            proof = Hyp(v, fresh.term(sig.sort_of(formula)), formula)
+        for par in eliminations.get(v, ()):
+            left = build(par.premisses[0])
+            if par.tag == "L*":
+                proof = prod_e(par.conclusions, left, proof)
             else:
-                inode = down_i(link.mode, aux, p1)
-        except NDError as exc:
-            raise ExtractionError(f"introduction rule failed: {exc}") from exc
-        s2 = _sub_structure(ps, comp_v, links_v, [main], ps.goal)
-        p2 = _extract(s2, {**terms, main: inode.term}, sig, fresh)
-        return _graft(p2, main, inode)
+                proof = wrap_e(par.mode, par.conclusions, left, proof)
+        return proof
 
-    # product-style par: premiss is the main formula, conclusions are
-    # the two withdrawn components
-    v1 = link.premisses[0]
-    va, vb = link.conclusions
-    comp_1, links_1 = _component_of(comps, v1)
-    comp_2, links_2 = _component_of(comps, va)
-    if vb not in comp_2 or ps.goal not in comp_2:
-        raise ExtractionError("product split has components on wrong sides")
-    s1 = _sub_structure(ps, comp_1, links_1, [], v1)
-    p1 = _extract(s1, terms, sig, fresh)
-    t_a = fresh.term(sig.sort_of(ps.vertices[va].formula))
-    t_b = fresh.term(sig.sort_of(ps.vertices[vb].formula))
-    s2 = _sub_structure(ps, comp_2, links_2, [va, vb], ps.goal)
-    p2 = _extract(s2, {**terms, va: t_a, vb: t_b}, sig, fresh)
-    if link.tag == "L*":
-        return _graft_elimination(
-            p2, va, vb, lambda nu: prod_e((va, vb), p1, nu)
-        )
-    return _graft_elimination(
-        p2, va, vb, lambda nu: wrap_e(link.mode, (va, vb), p1, nu)
-    )
-
-
-def _extract_tensor(ps, terms, sig, fresh):
-    where_premiss = {}
-    for i, link in enumerate(ps.links):
-        for v in link.premisses:
-            where_premiss[v] = i
-
-    for h in ps.hypotheses:
-        i = where_premiss.get(h)
-        if i is None or _tensor_main(ps.links[i]) != h:
-            continue
-        link = ps.links[i]
-        hleaf = Hyp(h, terms[h], ps.vertices[h].formula)
-        u = link.conclusions[0]
-        comps = _components(ps.vertices, ps.links, removed_link=i, removed_vertex=h)
-        if link.tag == "L/":
-            other = link.premisses[1]
-            comp_o, links_o = _component_of(comps, other)
-            p_arg = _extract(_sub_structure(ps, comp_o, links_o, [], other),
-                             terms, sig, fresh)
-            enode = over_e(hleaf, p_arg)
-        elif link.tag == "L\\":
-            other = link.premisses[0]
-            comp_o, links_o = _component_of(comps, other)
-            p_arg = _extract(_sub_structure(ps, comp_o, links_o, [], other),
-                             terms, sig, fresh)
-            enode = under_e(p_arg, hleaf)
-        elif link.tag == "L^":
-            other = link.premisses[1]
-            comp_o, links_o = _component_of(comps, other)
-            p_arg = _extract(_sub_structure(ps, comp_o, links_o, [], other),
-                             terms, sig, fresh)
-            enode = up_e(hleaf, p_arg)
-        else:  # "L!"
-            other = link.premisses[0]
-            comp_o, links_o = _component_of(comps, other)
-            p_arg = _extract(_sub_structure(ps, comp_o, links_o, [], other),
-                             terms, sig, fresh)
-            enode = down_e(p_arg, hleaf)
-        comp_u, links_u = _component_of(comps, u)
-        s_u = _sub_structure(ps, comp_u, links_u, [u], ps.goal)
-        p_u = _extract(s_u, {**terms, u: enode.term}, sig, fresh)
-        return _graft(p_u, u, enode)
-
-    # otherwise the conclusion must close an introduction tensor
-    for i, link in enumerate(ps.links):
-        if ps.goal in link.conclusions and _tensor_main(link) == ps.goal:
-            comps = _components(ps.vertices, ps.links, removed_link=i,
-                                removed_vertex=ps.goal)
-            xa, xb = link.premisses
-            comp_a, links_a = _component_of(comps, xa)
-            comp_b, links_b = _component_of(comps, xb)
-            p_a = _extract(_sub_structure(ps, comp_a, links_a, [], xa),
-                           terms, sig, fresh)
-            p_b = _extract(_sub_structure(ps, comp_b, links_b, [], xb),
-                           terms, sig, fresh)
-            if link.tag == "R*":
-                return prod_i(p_a, p_b)
-            return wrap_i(link.mode, p_a, p_b)
-    raise ExtractionError("tensor structure has no main hypothesis or conclusion")
+    try:
+        return build(ps.goal)
+    except NDError as exc:
+        raise ExtractionError(f"rule failed during extraction: {exc}") from exc
 
 
 # -- random proofs ---------------------------------------------------------

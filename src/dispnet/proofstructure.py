@@ -103,9 +103,6 @@ class ProofStructure:
     def par_links(self):
         return [l for l in self.links if l.kind == "par"]
 
-    def tensor_links(self):
-        return [l for l in self.links if l.kind == "tensor"]
-
 
 def unfold(hypotheses, goal, sig) -> ProofFrame:
     """Build the proof frame of a sequent by leftmost-outermost
@@ -308,8 +305,3 @@ def check_structure(ps: ProofStructure) -> list:
         violations.append(f"goal {ps.goal} is the premiss of a link")
     return violations
 
-
-def structure_hypotheses(ps: ProofStructure):
-    """Vertices that are not the conclusion of any link, in sequent
-    order (the recorded hypothesis list)."""
-    return [ps.vertices[h] for h in ps.hypotheses]

@@ -101,20 +101,6 @@ def test_parse_json_deterministic(grammar_file, capsys):
     assert any(s["rule"] == "^>" for s in data["readings"][0]["trace"])
 
 
-def test_parse_jobs_matches_serial(grammar_file, capsys):
-    code1, out1, _ = run(
-        ["parse", grammar_file, "mary rang everyone up", "--json", "--all"],
-        capsys,
-    )
-    code2, out2, _ = run(
-        ["parse", grammar_file, "mary rang everyone up", "--json", "--all",
-         "--jobs", "2"],
-        capsys,
-    )
-    assert code1 == code2 == 0
-    assert out1 == out2
-
-
 def test_prove_modus_ponens(sig_file, capsys):
     code, out, _ = run(
         ["prove", sig_file, "x:np, y:np\\s |- x+y:s"], capsys
@@ -211,3 +197,24 @@ def test_check_rejects_bad_proof(tmp_path, capsys):
 def test_check_file_missing(capsys):
     code, out, err = run(["check", "/nonexistent/file.nd"], capsys)
     assert code == 2
+
+
+DEEP = 3000
+
+
+@pytest.mark.parametrize("command, text", [
+    ("prove", "(" * DEEP + "np" + ")" * DEEP + " |- np"),
+    ("prove", "np/" * DEEP + "np |- np"),
+    ("check", "np 0\n" + "(under_i 0 " * DEEP + '(hyp 0 "a" "np")' + ")" * DEEP),
+    ("parse", "s 0\nw := w : " + "(" * DEEP + "s" + ")" * DEEP),
+], ids=["prove-parens", "prove-slashes", "check", "parse"])
+def test_deep_input_is_input_error(command, text, tmp_path, sig_file, capsys):
+    if command == "prove":
+        argv = ["prove", sig_file, text]
+    else:
+        path = tmp_path / "deep.txt"
+        path.write_text(text)
+        argv = [command, str(path)] + (["w"] if command == "parse" else [])
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert err == "error: input nested too deeply\n"

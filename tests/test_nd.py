@@ -141,12 +141,20 @@ def assert_round_trip(p, sig):
     assert len(trace.logical_rules()) == par_rules
     verdict = is_proof_net(ps, terms, sig)
     assert verdict.is_net
-    q = extract_nd(verdict, sig)
+    # the proof is read off the verdict's trace, not re-contracted
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("contract", "to_aps"):
+            mp.setattr(nd, name, _no_recontraction)
+        q = extract_nd(verdict, sig)
     assert check_nd(q, sig) == [], check_nd(q, sig)
     assert q.term == p.term and q.formula == p.formula
     got = {h.label: (h.term, h.formula) for h in open_leaves_in_order(q)}
     want = {v: (terms[v], ps.vertices[v].formula) for v in ps.hypotheses}
     assert got == want
+
+
+def _no_recontraction(*args, **kwargs):
+    raise AssertionError("extraction must not convert or contract again")
 
 
 def contract_final(aps):
