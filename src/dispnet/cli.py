@@ -27,7 +27,13 @@ from . import lexicon as lx
 from . import nd
 from . import terms as tm
 from .contraction import is_proof_net
-from .proofstructure import CountMismatch, enumerate_linkings, unfold
+from .proofstructure import (
+    Anchors,
+    CountMismatch,
+    enumerate_linkings,
+    linking_count,
+    unfold,
+)
 
 
 @dataclass
@@ -44,6 +50,7 @@ class ParseResult:
     goal: object
     readings: list = field(default_factory=list)
     linkings_tried: int = 0
+    pruned: int = 0       # linkings tried that position unification skipped
     nets_found: int = 0
     step_counts: list = field(default_factory=list)
     errors: list = field(default_factory=list)
@@ -54,21 +61,25 @@ class ParseResult:
 
 
 def run_sequent(hyp_pairs, goal_formula, sig, expected=None, mode="parse",
-                all_readings=False, cover=()):
-    """Decide one sequent; hyp_pairs are (StringTerm, Formula)."""
+                all_readings=False, cover=(), anchors=None):
+    """Decide one sequent; hyp_pairs are (StringTerm, Formula). With
+    ``anchors`` (see ``proofstructure.Anchors``) only linkings whose
+    string positions unify are contracted."""
     result = ParseResult(tokens=[], goal=goal_formula)
     frame = unfold([f for _, f in hyp_pairs], goal_formula, sig)
     terms = {h: t for h, (t, _) in zip(frame.hypotheses, hyp_pairs)}
     want = expected if mode == "parse" else None
     try:
-        stream = enumerate_linkings(frame)
+        stream = enumerate_linkings(frame, anchors)
     except CountMismatch as exc:
         result.errors.append(exc)
         return result
     seen = []
-    for i, ps in enumerate(stream):
+    contracted = 0
+    for ps in stream:
         verdict = is_proof_net(ps, terms, sig, want)
-        result.linkings_tried = i + 1
+        contracted += 1
+        result.linkings_tried = ps.index + 1
         if verdict.kind != "stuck":
             result.nets_found += 1
         if not verdict.is_net:
@@ -79,9 +90,12 @@ def run_sequent(hyp_pairs, goal_formula, sig, expected=None, mode="parse",
         if any(canon == c for c in seen):
             continue
         seen.append(canon)
-        result.readings.append(Reading(cover, i, verdict, proof))
+        result.readings.append(Reading(cover, ps.index, verdict, proof))
         if not all_readings:
             break
+    else:
+        result.linkings_tried = linking_count(frame)
+    result.pruned = result.linkings_tried - contracted
     return result
 
 
@@ -89,11 +103,17 @@ def run_parse(grammar, tokens, goal=None, mode="parse", all_readings=False):
     goal = goal if goal is not None else grammar.goal_default
     combined = ParseResult(tokens=list(tokens), goal=goal)
     expected = tm.StringTerm(tuple(tokens))
+    sig = grammar.signature
+    # a sentence is a sort-0 string, so only a sort-0 goal can spell it
+    anchored = mode == "parse" and sig.sort_of(goal) == 0
     for cover in lx.lexical_covers(grammar, tokens):
         hyp_pairs = [(m.entry.string, m.entry.formula) for m in cover]
-        sub = run_sequent(hyp_pairs, goal, grammar.signature, expected,
-                          mode, all_readings, cover)
+        anchors = (Anchors(sig, [m.spans for m in cover], ((0, len(tokens)),))
+                   if anchored else None)
+        sub = run_sequent(hyp_pairs, goal, sig, expected, mode, all_readings,
+                          cover, anchors)
         combined.linkings_tried += sub.linkings_tried
+        combined.pruned += sub.pruned
         combined.nets_found += sub.nets_found
         combined.step_counts.extend(sub.step_counts)
         combined.errors.extend(sub.errors)
@@ -190,6 +210,7 @@ def _result_json(result, mode, latex, trace):
         "readings": [_reading_record(r, latex, trace) for r in result.readings],
         "stats": {
             "linkings": result.linkings_tried,
+            "pruned": result.pruned,
             "nets": result.nets_found,
             "readings": len(result.readings),
             "steps": result.step_counts,

@@ -66,8 +66,14 @@ class ContractionStep:
     consumed: tuple     # element ids removed
     result: int         # comb id produced/extended
     concl: int          # conclusion vertex of the result comb after the step
-    row: str            # rendered row of the result comb
+    items: tuple        # row of the result comb after the step
     source: int | None = None  # proof-structure link index, logical steps
+
+    @property
+    def row(self) -> str:
+        """The row rendered for traces; only traces that are shown pay
+        for it."""
+        return _render_row(self.items)
 
 
 @dataclass
@@ -369,7 +375,7 @@ def apply_redex(aps: APS, redex: Redex) -> ContractionStep:
         aps.drop_point(k1.concl)
         del aps.combs[k1.cid]
         return ContractionStep("+", (k1.cid,), k2.cid, k2.concl,
-                               _render_row(k2.row))
+                               tuple(k2.row))
 
     if rule == "x":
         t = aps.crosses[redex.element]
@@ -387,7 +393,7 @@ def apply_redex(aps: APS, redex: Redex) -> ContractionStep:
         del aps.combs[kr.cid]
         del aps.crosses[t.tid]
         return ContractionStep(
-            redex.label(), (t.tid, kr.cid), kl.cid, kl.concl, _render_row(kl.row),
+            redex.label(), (t.tid, kr.cid), kl.cid, kl.concl, tuple(kl.row),
             t.source
         )
 
@@ -420,7 +426,7 @@ def apply_redex(aps: APS, redex: Redex) -> ContractionStep:
             aps.drop_point(q)
     del aps.pars[par.pid]
     return ContractionStep(
-        redex.label(), (par.pid,), comb.cid, comb.concl, _render_row(comb.row),
+        redex.label(), (par.pid,), comb.cid, comb.concl, tuple(comb.row),
         par.source
     )
 

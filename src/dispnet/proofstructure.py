@@ -17,13 +17,27 @@ A proof structure arises from a frame by choosing an axiom linking: a
 bijection, per atom name, between producer and consumer occurrences.
 Every formula ends up the premiss of at most one link and the
 conclusion of at most one link.
+
+Linkings are enumerated by a lazy backtracking search. When the sequent
+is anchored in a sentence (parsing), the search also follows the
+first-order translation of D (Moot 2014): a formula of sort k denotes
+k+1 string pieces, so each vertex carries 2k+2 position terms, the
+start and end of each piece. Hypotheses are anchored at the token spans
+of their lexical pieces, the goal at the whole sentence; each link
+passes positions down to its subformulas by the concatenation or wrap
+its connective stands for, with fresh eigen constants (par links) or
+meta variables (tensor links) at the junctions it leaves open. An
+axiom link unifies the positions of its two atoms. If two distinct
+constants would meet, no linking that contains it can spell the
+sentence, so the search skips every such linking without contracting
+it. For the Lambek connectives this is the span constraint of Fowler
+(2009).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import permutations, product
 
 from . import formula as fm
 from .terms import Mode
@@ -96,6 +110,7 @@ class ProofStructure:
     hypotheses: list
     goal: int
     linking: tuple = ()  # (producer vid, consumer vid) pairs
+    index: int = 0       # place of the linking in the frame's full stream
 
     def dump(self) -> str:
         return "\n".join(link.fmt() for link in self.links)
@@ -230,34 +245,219 @@ def linking_count(frame: ProofFrame) -> int:
     )
 
 
-def enumerate_linkings(frame: ProofFrame):
-    """Stream of every proof structure obtained by identifying producer
+@dataclass(frozen=True)
+class Anchors:
+    """Where a sequent sits in a sentence. ``hypotheses`` holds, per
+    hypothesis, the (start, end) token span of each piece of its string
+    (sort + 1 spans); ``goal`` the same for the goal, ``((0, n),)`` for a
+    sentence of n tokens. ``sig`` gives the sorts of the formulas."""
+
+    sig: object
+    hypotheses: tuple
+    goal: tuple
+
+
+# Per link tag: the index in ``link.vertices()`` of the compound formula's
+# vertex, then of its two immediate subformulas in field order (C/B:
+# result, arg; A\C: arg, result; C^kB: result, arg; A!kC: arg, result;
+# A*B and AokB: left, right).
+_SHAPE = {
+    "L/": (0, 2, 1), "R/": (1, 0, 2),
+    "L\\": (1, 0, 2), "R\\": (2, 1, 0),
+    "L^": (0, 2, 1), "R^": (1, 0, 2),
+    "L!": (1, 0, 2), "R!": (2, 1, 0),
+    "L*": (0, 1, 2), "R*": (2, 0, 1),
+    "Lo": (0, 1, 2), "Ro": (2, 0, 1),
+}
+
+
+def _slot(mode, sort) -> int:
+    """The separator (1-based) a wrap mode picks among ``sort`` of them."""
+    if mode.kind == ">":
+        return 1
+    if mode.kind == "<":
+        return sort
+    return mode.index
+
+
+def _wrap(x, i, y):
+    """Positions of x with its i-th separator replaced by y."""
+    return x[:2 * i - 1] + y[1:-1] + x[2 * i + 1:]
+
+
+def _split(f, formula, sig, fresh):
+    """Positions of the two immediate subformulas (in field order) of a
+    compound formula whose own positions are ``f``; ``fresh(n)`` makes n
+    new points for the junctions the connective leaves open."""
+    if isinstance(formula, fm.Over):    # C = (C/B).B
+        b = f[-1:] + fresh(2 * sig.sort_of(formula.arg) + 1)
+        return f[:-1] + b[1:], b
+    if isinstance(formula, fm.Under):   # C = A.(A\C)
+        a = fresh(2 * sig.sort_of(formula.arg) + 1) + f[:1]
+        return a, a[:-1] + f[1:]
+    if isinstance(formula, fm.Prod):    # A*B = A.B
+        k = 2 * sig.sort_of(formula.left) + 1
+        p = fresh(1)
+        return f[:k] + p, p + f[k:]
+    if isinstance(formula, fm.Up):      # C = (C^kB) wrapped around B
+        i = _slot(formula.mode, len(f) // 2 - 1)
+        b = (f[2 * i - 1],) + fresh(2 * sig.sort_of(formula.arg)) + (f[2 * i],)
+        return _wrap(f, i, b), b
+    if isinstance(formula, fm.Down):    # C = A wrapped around (A!kC)
+        sa = sig.sort_of(formula.arg)
+        i = _slot(formula.mode, sa)
+        a = fresh(2 * i - 1) + (f[0], f[-1]) + fresh(2 * sa + 1 - 2 * i)
+        return a, _wrap(a, i, f)
+    # AokB = A wrapped around B
+    i = _slot(formula.mode, sig.sort_of(formula.left))
+    k = 2 * i - 1 + 2 * sig.sort_of(formula.right)
+    p, q = fresh(2)
+    return f[:2 * i - 1] + (p, q) + f[k:], (p,) + f[2 * i - 1:k] + (q,)
+
+
+def place(frame: ProofFrame, anchors: Anchors):
+    """The position pass: string positions for every vertex of a frame.
+
+    Returns ``(pos, const)``: ``pos[vid]`` is a tuple of 2k+2 point ids
+    for a vertex of sort k (start and end of each of its k+1 pieces),
+    and ``const[point]`` says whether that point is a constant. Token
+    positions are constants, shared by every anchor that names them.
+    Each link positions its subformulas from its compound formula by
+    the connective's concatenation or wrap geometry; the junctions that
+    geometry leaves open are fresh eigen constants at par links and
+    fresh meta variables at tensor links."""
+    const = []
+    tokens = {}
+
+    def token(t):
+        if t not in tokens:
+            tokens[t] = len(const)
+            const.append(True)
+        return tokens[t]
+
+    def anchored(spans):
+        return tuple(token(t) for span in spans for t in span)
+
+    pos = {vid: anchored(spans)
+           for vid, spans in zip(frame.hypotheses, anchors.hypotheses)}
+    pos[frame.goal] = anchored(anchors.goal)
+    for link in frame.links:
+        eigen = link.kind == "par"
+
+        def fresh(n):
+            start = len(const)
+            const.extend([eigen] * n)
+            return tuple(range(start, start + n))
+
+        vids = link.vertices()
+        top, x, y = (vids[i] for i in _SHAPE[link.tag])
+        pos[x], pos[y] = _split(pos[top], frame.vertices[top].formula,
+                                anchors.sig, fresh)
+    return pos, const
+
+
+def enumerate_linkings(frame: ProofFrame, anchors: Anchors | None = None):
+    """Stream of the proof structures obtained by identifying producer
     atoms with consumer atoms of the same name.
 
-    The stream is lazy and deterministic: atoms are processed in name
-    order, consumers in vertex-id order, and producer permutations in
-    lexicographic vertex-id order. Raises CountMismatch immediately when
-    some atom is unbalanced (the stream would be empty)."""
+    The stream is lazy and deterministic: a backtracking search goes
+    through atoms in name order and consumers in vertex-id order, and
+    tries the unused producers of each in ascending vertex-id order, so
+    linkings come in lexicographic order of their producer permutations.
+    Each structure's ``index`` is its place in that order.
+
+    With ``anchors``, each link of a producer to a consumer unifies
+    their string positions (see ``place``); where two distinct constants
+    meet, no linking below that choice can spell the anchored sentence,
+    and the search skips them all. Their places in the order are not
+    reused, so indexes stay those of the full stream.
+
+    Raises CountMismatch immediately when some atom is unbalanced (the
+    stream would be empty)."""
     mismatches = count_mismatches(frame)
     if mismatches:
         raise CountMismatch(mismatches)
+    pos, const = place(frame, anchors) if anchors is not None else (None, ())
+    # per consumer slot, in search order: its vertex, its atom's sorted
+    # producers, their shared used flags, and how many linkings of the
+    # full stream lie below one choice at that slot
+    consumers, candidates, taken, below = [], [], [], []
+    later = math.prod(math.factorial(len(p)) for p in frame.producers.values())
+    for atom in sorted(frame.producers):
+        producers = sorted(frame.producers[atom])
+        used = [False] * len(producers)
+        later //= math.factorial(len(producers))
+        for j, consumer in enumerate(sorted(frame.consumers[atom])):
+            consumers.append(consumer)
+            candidates.append(producers)
+            taken.append(used)
+            below.append(math.factorial(len(producers) - j - 1) * later)
 
     def stream():
-        names = sorted(frame.producers)
-        consumer_lists = [sorted(frame.consumers[a]) for a in names]
-        producer_perms = [
-            permutations(sorted(frame.producers[a])) for a in names
-        ]
-        for combo in product(*producer_perms):
-            pairs = []
-            for consumers, producers in zip(consumer_lists, combo):
-                pairs.extend(zip(producers, consumers))
-            yield realize(frame, tuple(pairs))
+        parent = list(range(len(const)))
+        trail = []
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        def unify(xs, ys):
+            for a, b in zip(xs, ys):
+                a, b = find(a), find(b)
+                if a == b:
+                    continue
+                if const[a]:
+                    if const[b]:
+                        return False
+                    a, b = b, a
+                parent[a] = b
+                trail.append(a)
+            return True
+
+        def undo(mark):
+            while len(trail) > mark:
+                x = trail.pop()
+                parent[x] = x
+
+        n = len(consumers)
+        pick = [-1] * n
+        mark = [0] * n
+        index = 0
+        s = 0
+        while s >= 0:
+            if s == n:
+                pairs = tuple((candidates[t][pick[t]], consumers[t])
+                              for t in range(n))
+                yield realize(frame, pairs, index)
+                index += 1
+                s -= 1
+                continue
+            producers, used, j = candidates[s], taken[s], pick[s]
+            if j < 0:
+                mark[s] = len(trail)
+            else:
+                used[j] = False
+                undo(mark[s])
+            for j in range(j + 1, len(producers)):
+                if used[j]:
+                    continue
+                if pos is None or unify(pos[producers[j]], pos[consumers[s]]):
+                    break
+                undo(mark[s])
+                index += below[s]
+            else:
+                pick[s] = -1
+                s -= 1
+                continue
+            used[j] = True
+            pick[s] = j
+            s += 1
 
     return stream()
 
 
-def realize(frame: ProofFrame, linking) -> ProofStructure:
+def realize(frame: ProofFrame, linking, index=0) -> ProofStructure:
     """Merge each linked consumer vertex into its producer vertex."""
     remap = {consumer: producer for producer, consumer in linking}
     vertices = {
@@ -277,7 +477,8 @@ def realize(frame: ProofFrame, linking) -> ProofStructure:
         for link in frame.links
     ]
     return ProofStructure(
-        vertices, links, list(frame.hypotheses), m(frame.goal), tuple(linking)
+        vertices, links, list(frame.hypotheses), m(frame.goal), tuple(linking),
+        index,
     )
 
 

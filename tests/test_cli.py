@@ -1,8 +1,12 @@
 import json
+import random
 
 import pytest
 
 from dispnet import cli
+from dispnet.contraction import is_proof_net
+from dispnet.lexicon import load_grammar
+from dispnet.terms import SEP, StringTerm
 
 RING_UP = """\
 np 0
@@ -95,10 +99,102 @@ def test_parse_json_deterministic(grammar_file, capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     data = json.loads(out1)
-    assert data["stats"] == {"linkings": 4, "nets": 2, "readings": 1,
-                             "steps": [5]}
+    # the linking whose comb spells a wrong word order is pruned by
+    # position unification before contraction, so one net is left
+    assert data["stats"] == {"linkings": 4, "pruned": 2, "nets": 1,
+                             "readings": 1, "steps": [5]}
     assert data["readings"][0]["final"] == "mary+rang+everyone+up"
     assert any(s["rule"] == "^>" for s in data["readings"][0]["trace"])
+
+
+# word -> formulas; a grammar file is written from a word list
+LEXICON = {
+    "a": ["np"], "b": ["np"], "c": ["np"], "d": ["np"], "e": ["np"],
+    "walks": ["np\\s"], "sleeps": ["np\\s"],
+    "likes": ["(np\\s)/np"], "sees": ["(np\\s)/np"],
+    "thinks": ["(np\\s)/s"], "says": ["(np\\s)/s"],
+    "everyone": ["(s^>np)!>s"], "someone": ["(s^>np)!>s"],
+    "who": ["(np\\np)/(np\\s)"],
+}
+
+
+def grammar_text(words):
+    """A grammar for the given words; a word missing from LEXICON is a
+    renamed copy (``thinks_2``) with the entries of its original."""
+    lines = ["np 0", "s 0"]
+    for w in sorted(set(words)):
+        for f in LEXICON[w.split("_")[0]]:
+            lines.append(f"{w} := {w} : {f}")
+    return "\n".join(lines) + "\n"
+
+
+def parse_all(tokens):
+    grammar = load_grammar(grammar_text(tokens))
+    return grammar, cli.run_parse(grammar, tokens, all_readings=True)
+
+
+def renamed_apart(tokens):
+    """The k-th repeat of a word becomes ``word_k``."""
+    seen = {}
+    out = []
+    for t in tokens:
+        seen[t] = seen.get(t, 0) + 1
+        out.append(t if seen[t] == 1 else f"{t}_{seen[t]}")
+    return out
+
+
+TEMPLATES = (
+    "N S N I", "N S N S N I", "N S N S N S N I", "Q S Q I", "N T N",
+    "Q T Q", "N S Q T N", "Q S N S Q I", "N who I S N I",
+)
+WORDS = {"N": ("a", "b"), "S": ("thinks", "says"), "I": ("walks", "sleeps"),
+         "T": ("likes", "sees"), "Q": ("everyone", "someone")}
+
+
+def test_repeated_words_read_like_renamed_apart():
+    rng = random.Random(3)
+    repeats = readings = 0
+    for _ in range(40):
+        tokens = [rng.choice(WORDS[k]) if k in WORDS else k
+                  for k in rng.choice(TEMPLATES).split()]
+        _, result = parse_all(tokens)
+        _, apart = parse_all(renamed_apart(tokens))
+        assert len(result.readings) == len(apart.readings), tokens
+        repeats += len(set(tokens)) < len(tokens)
+        readings += len(result.readings)
+    assert repeats > 20 and readings > 40
+
+
+def test_repeated_verb_chain_has_one_reading(tmp_path, capsys):
+    tokens = "a thinks b thinks c thinks d thinks e walks"
+    path = tmp_path / "chain.gram"
+    path.write_text(grammar_text(tokens.split()))
+    code, out, _ = run(["parse", str(path), tokens, "--all"], capsys)
+    assert code == 0
+    assert "stats: linkings=14400 nets=1 readings=1\n" in out
+
+
+@pytest.mark.parametrize("sentence", [
+    "a thinks b thinks c walks",
+    "everyone thinks everyone walks",
+    "a likes a",
+    "a who walks thinks b who walks walks",
+])
+def test_reading_hypotheses_sit_at_their_cover_spans(sentence):
+    """Contract each reading again with every word renamed to its token
+    position: the comb must still spell the sentence, so the hypothesis
+    at token k is the cover entry whose span holds k."""
+    tokens = sentence.split()
+    grammar, result = parse_all(tokens)
+    assert result.readings
+    expected = StringTerm(tuple(f"t{k}" for k in range(len(tokens))))
+    for r in result.readings:
+        terms = {}
+        for h, m in zip(r.verdict.ps.hypotheses, r.cover):
+            at = iter(t for start, end in m.spans for t in range(start, end))
+            terms[h] = StringTerm(tuple(
+                it if it == SEP else f"t{next(at)}" for it in m.entry.string.items))
+        assert is_proof_net(r.verdict.ps, terms, grammar.signature, expected).is_net
 
 
 def test_prove_modus_ponens(sig_file, capsys):

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from dispnet.aps import to_aps
 from dispnet.contraction import (
     contract,
@@ -272,3 +274,14 @@ def test_stuck_reports_sort_condition():
         "suffix right of the infix has nonzero sort" in r.reason
         for v in stuck for r in v.diagnostics
     )
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known completeness defect: the [*] par link and the cross link on "
+    "its sort-1 component wait for each other ('separator is reserved by "
+    "a pending par link')"))
+@pytest.mark.parametrize("formula", ["(s^1np)*np", "(s^>s)*n"])
+def test_eta_expanded_product_identity_contracts(formula):
+    sig = Signature({"np": 0, "n": 0, "s": 0})
+    verdicts = prove([("x+1+y", formula)], formula, expect="x+1+y", sig=sig)
+    assert any(v.is_net for v in verdicts)

@@ -1,17 +1,26 @@
 import math
 import random
+import time
+import tracemalloc
+from itertools import permutations, product
 
 import pytest
 
+from conftest import CORPUS_SIG
+from dispnet.contraction import is_proof_net
 from dispnet.formula import Atom, Signature, parse_formula, random_formula
+from dispnet.nd import open_leaves_in_order
 from dispnet.proofstructure import (
+    Anchors,
     CountMismatch,
     check_structure,
     count_mismatches,
     enumerate_linkings,
     linking_count,
+    place,
     unfold,
 )
+from dispnet.terms import SEP
 
 SIG = Signature({"np": 0, "n": 0, "s": 0, "inf": 1})
 
@@ -145,9 +154,9 @@ def test_unfold_preserves_sorts_randomly():
             assert local_sort_ok(link, frame.vertices, SIG)
 
 
-def test_linkings_match_factorial_product_randomly():
+def random_frames():
+    """Balanced random frames with at most 200 linkings."""
     rng = random.Random(11)
-    checked = 0
     for _ in range(60):
         hyps = [random_formula(rng, SIG, 2) for _ in range(rng.randint(1, 2))]
         goal = random_formula(rng, SIG, 2)
@@ -159,7 +168,132 @@ def test_linkings_match_factorial_product_randomly():
         )
         if expected > 200:
             continue
+        yield frame, expected
+
+
+def test_linkings_match_factorial_product_randomly():
+    checked = 0
+    for frame, expected in random_frames():
         got = sum(1 for _ in enumerate_linkings(frame))
         assert got == expected
         checked += 1
     assert checked > 5
+
+
+def itertools_order(frame):
+    """Reference stream order: one producer permutation per atom, atoms
+    in name order, the last atom's permutation varying fastest."""
+    names = sorted(frame.producers)
+    consumers = [sorted(frame.consumers[a]) for a in names]
+    perms = [permutations(sorted(frame.producers[a])) for a in names]
+    for combo in product(*perms):
+        yield tuple(pair for cs, ps in zip(consumers, combo)
+                    for pair in zip(ps, cs))
+
+
+def test_stream_order_matches_itertools_reference():
+    checked = 0
+    for frame, expected in random_frames():
+        stream = list(enumerate_linkings(frame))
+        assert [ps.linking for ps in stream] == list(itertools_order(frame))
+        assert [ps.index for ps in stream] == list(range(expected))
+        checked += 1
+    assert checked > 5
+
+
+def test_first_linking_is_lazy():
+    # ten np producers: 10! permutations of them, none needed up front
+    f = "np"
+    for _ in range(9):
+        f = f"np/({f})"
+    formula = parse_formula(f)
+    frame = unfold([formula], formula, SIG)
+    assert len(frame.producers["np"]) == 10
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        ps = next(enumerate_linkings(frame))
+        elapsed = time.perf_counter() - t0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ps.index == 0
+    assert elapsed < 1.0
+    assert peak < 5 * 2 ** 20
+
+
+RING_UP_ANCHORS = Anchors(SIG, [((0, 1),), ((1, 2), (3, 4)), ((2, 3),)],
+                          ((0, 4),))
+
+
+def test_position_pass_ring_up():
+    frame = ring_up_frame()
+    pos, const = place(frame, RING_UP_ANCHORS)
+    mary, rang_up, everyone = frame.hypotheses
+    assert len(pos[rang_up]) == 4 and len(pos[frame.goal]) == 2
+    # token positions are constants shared by every anchor naming them
+    assert pos[mary][1] == pos[rang_up][0] and pos[rang_up][1] == pos[everyone][0]
+    assert pos[frame.goal] == (pos[mary][0], pos[rang_up][3])
+    assert all(const[p] for v in (mary, rang_up, everyone) for p in pos[v])
+    for link in frame.links:
+        for v in link.vertices():
+            assert len(pos[v]) == 2 * SIG.sort_of(frame.vertices[v].formula) + 2
+    # the np argument of rang_up fills its gap, between 'rang' and 'up'
+    (l_up,) = (l for l in frame.links if l.tag == "L^")
+    assert pos[l_up.premisses[1]] == (pos[rang_up][1], pos[rang_up][2])
+
+
+def test_anchored_stream_keeps_full_stream_indexes():
+    full = list(enumerate_linkings(ring_up_frame()))
+    kept = list(enumerate_linkings(ring_up_frame(), RING_UP_ANCHORS))
+    assert len(kept) == 2
+    for ps in kept:
+        assert full[ps.index].linking == ps.linking
+
+
+def pieces(term):
+    out = [[]]
+    for it in term.items:
+        if it == SEP:
+            out.append([])
+        else:
+            out[-1].append(it)
+    return out
+
+
+def anchors_of(proof):
+    """Anchors read off a proof's conclusion term: each open hypothesis
+    word occurs once in it, and every piece of a hypothesis is a run of
+    consecutive words there."""
+    leaves = open_leaves_in_order(proof)
+    at = {w: i for i, w in enumerate(proof.term.words())}
+    hyps = []
+    for h in leaves:
+        spans = []
+        for piece in pieces(h.term):
+            start = at[piece[0]]
+            assert [at[w] for w in piece] == list(range(start, start + len(piece)))
+            spans.append((start, start + len(piece)))
+        hyps.append(tuple(spans))
+    goal, k = [], 0
+    for piece in pieces(proof.term):
+        goal.append((k, k + len(piece)))
+        k += len(piece)
+    return leaves, Anchors(CORPUS_SIG, hyps, tuple(goal))
+
+
+def test_pruning_keeps_every_net_on_corpus(proof_corpus):
+    checked = 0
+    for proof, *_ in proof_corpus:
+        leaves, anchors = anchors_of(proof)
+        frame = unfold([h.formula for h in leaves], proof.formula, CORPUS_SIG)
+        if linking_count(frame) > 200:
+            continue
+        terms = {v: h.term for v, h in zip(frame.hypotheses, leaves)}
+        is_net = {ps.linking: is_proof_net(ps, terms, CORPUS_SIG, proof.term).is_net
+                  for ps in enumerate_linkings(frame)}
+        kept = {ps.linking for ps in enumerate_linkings(frame, anchors)}
+        assert ({l for l in kept if is_net[l]}
+                == {l for l, net in is_net.items() if net}), str(proof.term)
+        checked += 1
+    assert checked > 200
