@@ -5,7 +5,10 @@
     dispnet check PROOF_FILE
 
 Exit codes: 0 when at least one reading/derivation is found (or the
-proof checks), 1 when none is, 2 on input errors. Output is
+proof checks), 1 when none is, 2 on input errors, 141 (128 + SIGPIPE)
+when the reader closes standard output before the report is written,
+as in ``dispnet parse ... --json | head``; that case prints nothing
+to standard error. Output is
 deterministic for fixed inputs and flags; ``--json`` emits the same
 reading set as the human-readable report.
 
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -34,6 +38,9 @@ from .proofstructure import (
     linking_count,
     unfold,
 )
+
+
+EXIT_CLOSED_PIPE = 128 + 13  # what a shell reports for a SIGPIPE death
 
 
 @dataclass
@@ -381,7 +388,15 @@ def main(argv=None) -> int:
     p_check.set_defaults(func=cmd_check)
 
     args = top.parse_args(argv)
-    return args.func(args)
+    try:
+        status = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: the rest of the output, and the flush at
+        # interpreter exit, go to devnull instead of raising again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
+    return status
 
 
 if __name__ == "__main__":

@@ -37,6 +37,32 @@ Rules, on comb rows:
 
 Stuck structures are data: each remaining par link reports which
 geometric condition failed.
+
+The engine is a worklist. A ready table maps each live element to the
+redex it offers, structural elements (combs, cross links) apart from
+par links; every element is matched once at the start, and the next
+step fires the lowest-id structural redex, else the lowest-id par
+redex, which is the order ``iter_redexes`` lists them in. After a step
+with result comb R, the consumed elements leave the table and only
+these are matched again: R; the combs and par links that conclude a
+point in R's row; the element whose premiss is R's conclusion.
+
+Why that is enough: a match reads only the role maps (``concl_of``,
+``premiss_at``) at its own points and the rows of the combs they
+name, plus the liveness of the par links whose reserved separators
+sit in those rows. A step changes R's row and conclusion, moves the
+points of the consumed comb's row into R (their ``premiss_at`` now
+names R), and deletes consumed elements with their private points.
+So a surviving element whose reading changed either reads R through
+its own premiss or tether points (then it is R's consumer, or a par
+link with tether points in R), or reads ``premiss_at`` of its own
+conclusion, which now lies in R (then it concludes a point in R's
+row), or is R itself. The par link a step fires had its tether block,
+hence every reserved separator of it still present, inside R, so the
+crosses its death unblocks read R as a premiss comb. Each rewrite
+keeps the table equal to what a full rescan would find, which the
+differential test in ``tests/test_contraction.py`` checks redex list by
+redex list.
 """
 
 from __future__ import annotations
@@ -92,7 +118,8 @@ class ContractionTrace:
     steps: list
     stuck: list          # StuckReport list, empty on success
     initial_elements: int
-    max_search_touched: int = 0
+    max_search_touched: int = 0  # most elements matched in one step
+    searched: int = 0            # element matches over the whole run
 
     @property
     def contracted(self) -> bool:
@@ -326,36 +353,31 @@ def _find_block_start(aps, first):
     raise AssertionError(f"premiss map out of sync for v{first}")
 
 
+def _match_element(aps: APS, eid: int):
+    """The redex that element ``eid`` (comb, cross link or par link)
+    offers in the current state, or None. The one matcher behind both
+    the worklist and ``iter_redexes``."""
+    comb = aps.combs.get(eid)
+    if comb is not None:
+        consumer = aps.premiss_at.get(comb.concl)
+        # a comb feeding itself (cyclic linking) is permanently stuck
+        if (consumer is not None and consumer[0] == "comb"
+                and consumer[1] != eid):
+            return Redex("+", None, eid, consumer[1])
+        return None
+    if eid in aps.crosses:
+        return _match_cross(aps, aps.crosses[eid])[0]
+    return _match_par(aps, aps.pars[eid])[0]
+
+
 def iter_redexes(aps: APS):
     """All currently available redexes: structural ones in element-id
-    order, then logical ones in par-id order."""
-    count = 0
-    found = []
-    for eid in sorted(set(aps.combs) | set(aps.crosses)):
-        count += 1
-        if eid in aps.combs:
-            comb = aps.combs[eid]
-            consumer = aps.premiss_at.get(comb.concl)
-            # a comb feeding itself (cyclic linking) is permanently stuck
-            if (consumer is not None and consumer[0] == "comb"
-                    and consumer[1] != eid):
-                found.append(Redex("+", None, eid, consumer[1]))
-        else:
-            redex, _ = _match_cross(aps, aps.crosses[eid])
-            if redex is not None:
-                found.append(redex)
-    for pid in sorted(aps.pars):
-        count += 1
-        redex, _ = _match_par(aps, aps.pars[pid])
-        if redex is not None:
-            found.append(redex)
-    return found, count
-
-
-def find_redex(aps: APS):
-    """First redex in the deterministic scan order, or None."""
-    found, _ = iter_redexes(aps)
-    return found[0] if found else None
+    order, then logical ones in par-id order; and the number of
+    elements matched to find them."""
+    order = sorted(aps.combs.keys() | aps.crosses.keys()) + sorted(aps.pars)
+    found = [r for r in (_match_element(aps, eid) for eid in order)
+             if r is not None]
+    return found, len(order)
 
 
 def _render_row(row):
@@ -451,24 +473,62 @@ def diagnose(aps: APS) -> list:
     return reports
 
 
+def _neighbours(aps: APS, cid: int) -> set:
+    """The elements whose match may change when comb ``cid`` changed:
+    the comb itself, the combs and par links concluding a point in its
+    row, and the element taking its conclusion as premiss."""
+    comb = aps.combs[cid]
+    out = {cid}
+    for it in comb.row:
+        if isinstance(it, Pt):
+            role = aps.concl_of.get(it.pid)
+            if role is not None and role[0] != "cross":
+                out.add(role[1])
+    consumer = aps.premiss_at.get(comb.concl)
+    if consumer is not None:
+        out.add(consumer[1])
+    return out
+
+
 def contract(aps: APS, select=None) -> ContractionTrace:
     """Contract to normal form. ``select`` picks among the available
-    redexes (default: the deterministic first one); confluence makes the
-    choice irrelevant for the outcome."""
+    redexes, given in ``iter_redexes`` order (default: the first one);
+    confluence makes the choice irrelevant for the outcome."""
     initial = aps.element_count()
+    structural, logical = {}, {}  # element id -> its ready redex
+
+    def rematch(eids):
+        for eid in eids:
+            table = logical if eid in aps.pars else structural
+            redex = _match_element(aps, eid)
+            if redex is None:
+                table.pop(eid, None)
+            else:
+                table[eid] = redex
+        return len(eids)
+
+    searched = max_touched = rematch([*aps.combs, *aps.crosses, *aps.pars])
     steps = []
-    max_touched = 0
-    while True:
-        found, touched = iter_redexes(aps)
-        max_touched = max(max_touched, touched)
-        if not found:
-            break
-        redex = found[0] if select is None else select(found)
-        steps.append(apply_redex(aps, redex))
+    while structural or logical:
+        if select is not None:
+            redex = select([structural[e] for e in sorted(structural)]
+                           + [logical[e] for e in sorted(logical)])
+        elif structural:
+            redex = structural[min(structural)]
+        else:
+            redex = logical[min(logical)]
+        step = apply_redex(aps, redex)
+        steps.append(step)
         if len(steps) > initial:
             raise AssertionError("contraction exceeded its step bound")
+        for eid in step.consumed:
+            structural.pop(eid, None)
+            logical.pop(eid, None)
+        touched = rematch(_neighbours(aps, step.result))
+        searched += touched
+        max_touched = max(max_touched, touched)
     stuck = [] if aps.is_single_comb() else diagnose(aps)
-    return ContractionTrace(steps, stuck, initial, max_touched)
+    return ContractionTrace(steps, stuck, initial, max_touched, searched)
 
 
 @dataclass

@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -314,3 +318,24 @@ def test_deep_input_is_input_error(command, text, tmp_path, sig_file, capsys):
     code, out, err = run(argv, capsys)
     assert code == 2
     assert err == "error: input nested too deeply\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["--all", "--trace", "--json", "--latex"]])
+def test_closed_stdout_exits_quietly(grammar_file, flags):
+    # short output fails at the final flush, long output inside print
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "dispnet", "parse", grammar_file,
+             "mary rang everyone up", *flags],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+            timeout=60)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+    assert proc.returncode == cli.EXIT_CLOSED_PIPE

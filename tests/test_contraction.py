@@ -2,15 +2,18 @@ import random
 
 import pytest
 
-from dispnet.aps import to_aps
+from conftest import CORPUS_SIG
+from dispnet.aps import IllFormedComb, to_aps
 from dispnet.contraction import (
+    apply_redex,
     contract,
-    find_redex,
+    diagnose,
     is_proof_net,
     iter_redexes,
 )
 from dispnet.formula import Atom, Signature, parse_formula
-from dispnet.proofstructure import enumerate_linkings, unfold
+from dispnet.nd import open_leaves_in_order
+from dispnet.proofstructure import enumerate_linkings, linking_count, unfold
 from dispnet.terms import parse_term
 
 SIG = Signature({"a": 0, "b": 0, "np": 0, "s": 0, "j": 1, "k2": 2})
@@ -109,7 +112,7 @@ def test_lone_comb_has_no_redex():
     frame = unfold([Atom("np")], Atom("np"), SIG)
     ps = next(enumerate_linkings(frame))
     a = to_aps(ps, {ps.hypotheses[0]: parse_term("x")}, SIG)
-    assert find_redex(a) is None
+    assert iter_redexes(a)[0] == []
 
 
 def test_modus_ponens_and_concatenation_order():
@@ -191,8 +194,6 @@ def test_mismatch_reported_before_linking():
 
 def exhaustive_contracts(aps):
     """Try every redex order; return set of reachable normal forms."""
-    from dispnet.contraction import apply_redex
-
     finals = set()
 
     def walk(state):
@@ -246,6 +247,72 @@ def test_step_bounds():
         trace = contract(a)
         assert len(trace.steps) <= initial
         assert trace.max_search_touched <= initial
+
+
+def rescan_contract(aps, select=None):
+    """Reference engine: rescan every element with ``iter_redexes``
+    before each step. Returns the steps, the stuck reports and the
+    number of element matches made."""
+    steps, rescanned = [], 0
+    while True:
+        found, touched = iter_redexes(aps)
+        rescanned += touched
+        if not found:
+            break
+        steps.append(apply_redex(aps, found[0] if select is None else select(found)))
+    stuck = [] if aps.is_single_comb() else diagnose(aps)
+    return steps, stuck, rescanned
+
+
+def corpus_linkings(proof_corpus, limit=300):
+    """The abstract proof structure of every linking of each corpus
+    proof's sequent that has at most ``limit`` linkings, stuck ones
+    included."""
+    for proof, *_ in proof_corpus:
+        leaves = open_leaves_in_order(proof)
+        frame = unfold([h.formula for h in leaves], proof.formula, CORPUS_SIG)
+        if linking_count(frame) > limit:
+            continue
+        terms = {v: h.term for v, h in zip(frame.hypotheses, leaves)}
+        for ps in enumerate_linkings(frame):
+            try:
+                yield to_aps(ps, terms, CORPUS_SIG)
+            except IllFormedComb:
+                pass
+
+
+def test_worklist_agrees_with_rescan(proof_corpus):
+    structures = stuck = 0
+    for i, aps in enumerate(corpus_linkings(proof_corpus)):
+        want_steps, want_stuck, _ = rescan_contract(aps.clone())
+        got = contract(aps.clone())
+        assert (got.steps, got.stuck) == (want_steps, want_stuck)
+        stuck += not got.contracted
+
+        # random orders: the same seed picks the same redex from the
+        # same list, and every list offered is the rescan's list
+        want_steps, want_stuck, _ = rescan_contract(
+            aps.clone(), random.Random(i).choice)
+        state = aps.clone()
+        rng = random.Random(i)
+
+        def checked_choice(found):
+            assert found == iter_redexes(state)[0]
+            return rng.choice(found)
+
+        got = contract(state, select=checked_choice)
+        assert (got.steps, got.stuck) == (want_steps, want_stuck)
+        structures += 1
+    assert structures > 4000 and stuck > 4000
+
+
+def test_worklist_matches_a_fraction_of_a_rescan(proof_corpus):
+    searched = rescanned = 0
+    for *_, aps, _trace in proof_corpus:
+        searched += contract(aps.clone()).searched
+        rescanned += rescan_contract(aps.clone())[2]
+    # a return to per-step rescans would put this near 1
+    assert searched <= rescanned / 4
 
 
 def test_trace_format_mentions_rules():
