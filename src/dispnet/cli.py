@@ -36,6 +36,7 @@ from .proofstructure import (
     CountMismatch,
     enumerate_linkings,
     linking_count,
+    sequent_mismatches,
     unfold,
 )
 
@@ -62,25 +63,23 @@ class ParseResult:
     step_counts: list = field(default_factory=list)
     errors: list = field(default_factory=list)
 
-    @property
-    def mismatches(self):
-        return [e for e in self.errors if isinstance(e, CountMismatch)]
-
 
 def run_sequent(hyp_pairs, goal_formula, sig, expected=None, mode="parse",
                 all_readings=False, cover=(), anchors=None):
     """Decide one sequent; hyp_pairs are (StringTerm, Formula). With
     ``anchors`` (see ``proofstructure.Anchors``) only linkings whose
-    string positions unify are contracted."""
+    string positions unify are contracted. An unbalanced sequent is
+    reported as a ``CountMismatch`` without being unfolded."""
     result = ParseResult(tokens=[], goal=goal_formula)
-    frame = unfold([f for _, f in hyp_pairs], goal_formula, sig)
+    hypotheses = [f for _, f in hyp_pairs]
+    mismatches = sequent_mismatches(hypotheses, goal_formula)
+    if mismatches:
+        result.errors.append(CountMismatch(mismatches))
+        return result
+    frame = unfold(hypotheses, goal_formula, sig)
     terms = {h: t for h, (t, _) in zip(frame.hypotheses, hyp_pairs)}
     want = expected if mode == "parse" else None
-    try:
-        stream = enumerate_linkings(frame, anchors)
-    except CountMismatch as exc:
-        result.errors.append(exc)
-        return result
+    stream = enumerate_linkings(frame, anchors)
     seen = []
     contracted = 0
     for ps in stream:

@@ -32,6 +32,11 @@ constants would meet, no linking that contains it can spell the
 sentence, so the search skips every such linking without contracting
 it. For the Lambek connectives this is the span constraint of Fowler
 (2009).
+
+A linking exists only if every atom has as many producers as consumers
+(van Benthem's count invariant). ``sequent_mismatches`` reads those
+counts off the formulas, so an unbalanced sequent is rejected before it
+is unfolded.
 """
 
 from __future__ import annotations
@@ -82,11 +87,13 @@ class CountMismatch(ValueError):
 
     def __init__(self, mismatches):
         self.mismatches = dict(mismatches)  # atom -> (producers, consumers)
-        detail = ", ".join(
+        super().__init__(self.mismatches)
+
+    def __str__(self):
+        return ", ".join(
             f"{a}: {p} producer(s) vs {c} consumer(s)"
             for a, (p, c) in sorted(self.mismatches.items())
         )
-        super().__init__(detail)
 
 
 @dataclass
@@ -235,6 +242,33 @@ def count_mismatches(frame: ProofFrame) -> dict:
         if p != c:
             out[atom] = (p, c)
     return out
+
+
+_PARTS = (fm.Prod, fm.Wrap)  # two parts, both keeping the polarity
+
+
+def sequent_mismatches(hypotheses, goal) -> dict:
+    """What ``count_mismatches`` says of the frame ``unfold`` would build
+    for the sequent, read off its formulas without building the frame.
+
+    One walk gives each atom occurrence the polarity ``unfold`` gives its
+    vertex: hypotheses are positive and the goal negative, a result keeps
+    its formula's polarity, an argument flips it, and the two parts of a
+    product or wrap keep it. A positive atom is a producer, a negative
+    one a consumer."""
+    counts = {}  # atom -> [producers, consumers]
+    stack = [(goal, 1)] + [(h, 0) for h in hypotheses]
+    while stack:
+        f, side = stack.pop()
+        while type(f) is not fm.Atom:
+            if type(f) in _PARTS:
+                stack.append((f.left, side))
+                f = f.right
+            else:
+                stack.append((f.arg, 1 - side))
+                f = f.result
+        counts.setdefault(f.name, [0, 0])[side] += 1
+    return {a: (p, c) for a, (p, c) in sorted(counts.items()) if p != c}
 
 
 def linking_count(frame: ProofFrame) -> int:

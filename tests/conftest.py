@@ -3,11 +3,13 @@ from itertools import count
 
 import pytest
 
+from dispnet import cli
 from dispnet.formula import Signature
 from dispnet.nd import net_of_nd, random_nd_proof
-from dispnet.terms import FreshVars
+from dispnet.terms import EMPTY, FreshVars, concat
 
 CORPUS_SIG = Signature({"np": 0, "n": 0, "s": 0, "j": 1})
+LAMBEK_SIG = Signature({"np": 0, "n": 0, "s": 0})
 CORPUS_SIZE = 1000
 CORPUS_DEPTH = 6
 CORPUS_SEED = 20240817
@@ -28,3 +30,17 @@ def proof_corpus():
         ps, terms, aps, trace = net_of_nd(p, CORPUS_SIG)
         corpus.append((p, ps, terms, aps, trace))
     return corpus
+
+
+def prove_lambek(hyps, goal):
+    """Decide the bare Lambek sequent ``hyps |- goal`` as ``dispnet prove``
+    does: through ``cli.run_sequent``, with fresh hypothesis terms and
+    their concatenation as the string the comb must spell. The sequent
+    is derivable iff the result has a reading; an unbalanced one has
+    its ``CountMismatch`` in ``errors``."""
+    fresh = FreshVars("x")
+    hyp_pairs = [(fresh.term(0), f) for f in hyps]
+    expected = EMPTY
+    for term, _ in hyp_pairs:
+        expected = concat(expected, term)
+    return cli.run_sequent(hyp_pairs, goal, LAMBEK_SIG, expected)

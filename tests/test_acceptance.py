@@ -39,9 +39,9 @@ from dispnet.proofstructure import (
     enumerate_linkings,
     unfold,
 )
-from dispnet.terms import EMPTY, FreshVars, concat, parse_term
+from dispnet.terms import parse_term
 
-from conftest import CORPUS_SIG
+from conftest import CORPUS_SIG, LAMBEK_SIG, prove_lambek
 
 RING_UP = """\
 np 0
@@ -130,8 +130,7 @@ def test_criterion_2_sort_arithmetic():
 
 # -- criterion 3: Lambek-fragment oracle equivalence -------------------------
 
-LAMBEK_ATOMS = ("np", "n", "s")
-LAMBEK_SIG = Signature({a: 0 for a in LAMBEK_ATOMS})
+LAMBEK_ATOMS = tuple(LAMBEK_SIG.sorts)
 _FORMULAS = {0: [Atom(a) for a in LAMBEK_ATOMS]}
 
 
@@ -157,23 +156,6 @@ def lambek_sequents(max_conn, max_hyps):
                     yield combo[:-1], combo[-1]
 
 
-def net_derivable(hyps, goal):
-    """Proof-net route: a sequent is derivable iff some axiom linking
-    contracts to a comb spelling the hypotheses in order."""
-    frame = unfold(list(hyps), goal, LAMBEK_SIG)
-    fresh = FreshVars("x")
-    terms = {h: fresh.term(0) for h in frame.hypotheses}
-    expected = EMPTY
-    for h in frame.hypotheses:
-        expected = concat(expected, terms[h])
-    try:
-        stream = enumerate_linkings(frame)
-    except CountMismatch:
-        return False
-    return any(is_proof_net(ps, terms, LAMBEK_SIG, expected).is_net
-               for ps in stream)
-
-
 def random_lambek_formula(rng, conn):
     if conn == 0:
         return Atom(rng.choice(LAMBEK_ATOMS))
@@ -188,11 +170,18 @@ def test_criterion_3_lambek_oracle_equivalence():
     sample_n = int(os.environ.get("DISPNET_ACCEPT_SAMPLE", "2000"))
     oracle = LambekOracle()
     total = 0
+    unbalanced = 0  # decided by the atom count, before unfolding
+
+    def agree(hs, goal):
+        nonlocal unbalanced
+        result = prove_lambek(hs, goal)
+        assert bool(result.readings) == oracle.derivable(hs, goal), (hs, goal)
+        unbalanced += bool(result.errors)
+
     for spec_part in bounds.split(","):
         conn, hyps = (int(x) for x in spec_part.split(":"))
         for hs, goal in lambek_sequents(conn, hyps):
-            assert net_derivable(hs, goal) == oracle.derivable(hs, goal), (
-                hs, goal)
+            agree(hs, goal)
             total += 1
 
     rng = random.Random(600)
@@ -204,12 +193,12 @@ def test_criterion_3_lambek_oracle_equivalence():
         sizes = [b - a for a, b in zip([0] + cuts, cuts + [budget])]
         formulas = [random_lambek_formula(rng, c) for c in sizes]
         hs, goal = tuple(formulas[:-1]), formulas[-1]
-        assert net_derivable(hs, goal) == oracle.derivable(hs, goal), (
-            hs, goal)
+        agree(hs, goal)
         sampled += 1
     report(3, f"100% agreement on {total} exhaustively enumerated sequents "
               f"(bounds {bounds}) plus {sampled} sampled sequents at "
-              f"connectives<=6, hypotheses<=4")
+              f"connectives<=6, hypotheses<=4; the atom count decided "
+              f"{unbalanced}, {total + sampled - unbalanced} went on to linking")
 
 
 # -- criteria 4-6: the shared random corpus ----------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 from dispnet import cli
 from dispnet.contraction import is_proof_net
+from dispnet.formula import Atom, Signature
 from dispnet.lexicon import load_grammar
 from dispnet.terms import SEP, StringTerm
 
@@ -260,11 +261,46 @@ def test_prove_net_mode_ignores_order(sig_file, capsys):
     assert code == 0
 
 
+NP_S_MISMATCH = ("np: 1 producer(s) vs 0 consumer(s), "
+                 "s: 0 producer(s) vs 1 consumer(s)")
+
+
 def test_prove_countmismatch_message(sig_file, capsys):
     code, out, _ = run(["prove", sig_file, "x:np |- x:s"], capsys)
     assert code == 1
     assert "count mismatch" in out
     assert "np" in out and "s" in out
+    code, out, _ = run(["prove", sig_file, "np |- s"], capsys)
+    assert code == 1
+    assert out == (
+        "goal: s\n"
+        f"error: atom count mismatch: {NP_S_MISMATCH}\n"
+        "stats: linkings=0 nets=0 readings=0\n"
+    )
+    code, out, _ = run(["prove", sig_file, "np |- s", "--json"], capsys)
+    assert code == 1
+    assert out == json.dumps({
+        "errors": [NP_S_MISMATCH],
+        "goal": "s",
+        "mode": "parse",
+        "readings": [],
+        "stats": {"linkings": 0, "nets": 0, "pruned": 0, "readings": 0,
+                  "steps": []},
+        "tokens": [],
+    }, indent=2) + "\n"
+
+
+def test_unbalanced_sequent_is_not_unfolded(monkeypatch):
+    def unfold(*args):
+        raise AssertionError("an unbalanced sequent was unfolded")
+
+    monkeypatch.setattr(cli, "unfold", unfold)
+    hyp_pairs = [(StringTerm(("x",)), Atom("np"))]
+    result = cli.run_sequent(hyp_pairs, Atom("s"),
+                             Signature({"np": 0, "s": 0}))
+    assert [str(e) for e in result.errors] == [NP_S_MISMATCH]
+    assert result.errors[0].mismatches == {"np": (1, 0), "s": (0, 1)}
+    assert result.readings == [] and result.linkings_tried == 0
 
 
 def test_check_roundtrip(tmp_path, grammar_file, capsys, sig_file):

@@ -18,6 +18,7 @@ from dispnet.proofstructure import (
     enumerate_linkings,
     linking_count,
     place,
+    sequent_mismatches,
     unfold,
 )
 from dispnet.terms import SEP
@@ -93,6 +94,43 @@ def test_count_mismatch():
         list(enumerate_linkings(frame))
     assert set(exc.value.mismatches) == {"np", "s"}
     assert linking_count(frame) == 0
+
+
+def connectives(f):
+    """(connective, mode kind or None) of every compound subformula."""
+    if isinstance(f, Atom):
+        return set()
+    parts = (f.left, f.right) if hasattr(f, "left") else (f.result, f.arg)
+    mode = getattr(f, "mode", None)
+    here = (type(f).__name__, mode.kind if mode else None)
+    return {here}.union(*map(connectives, parts))
+
+
+def test_sequent_mismatches_match_unfold_randomly():
+    rng = random.Random(13)
+    seen = set()
+    balanced = 0
+    for _ in range(2000):
+        hyps = [random_formula(rng, SIG, 3) for _ in range(rng.randint(0, 3))]
+        goal = random_formula(rng, SIG, 3)
+        want = count_mismatches(unfold(hyps, goal, SIG))
+        assert sequent_mismatches(hyps, goal) == want, (hyps, goal)
+        balanced += not want
+        seen.update(*map(connectives, hyps + [goal]))
+    # every connective, every wrap mode kind, and both outcomes occurred
+    assert {name for name, _ in seen} == {
+        "Over", "Under", "Prod", "Up", "Down", "Wrap"}
+    assert {(name, kind) for name, kind in seen if kind} == {
+        (name, kind) for name in ("Up", "Down", "Wrap") for kind in "<>@"}
+    assert 0 < balanced < 2000
+
+
+def test_sequent_mismatches_match_unfold_on_corpus(proof_corpus):
+    for proof, *_ in proof_corpus:
+        hyps = [h.formula for h in open_leaves_in_order(proof)]
+        frame = unfold(hyps, proof.formula, CORPUS_SIG)
+        assert (sequent_mismatches(hyps, proof.formula)
+                == count_mismatches(frame)), str(proof.term)
 
 
 def test_enumeration_deterministic():
