@@ -1,12 +1,16 @@
 """Abstract proof structures: combs, cross links, par links.
 
 Converting a proof structure to an abstract proof structure erases the
-formula labels and keeps only what the correctness check needs:
+formula labels and keeps only what the correctness check needs. A link's
+tag is L (an elimination) or R (an introduction) followed by its
+connective's operator; its kind and operator decide what it becomes:
 
-* every ``+``-style tensor link (L\\, L/, R*) becomes a two-premiss
-  comb;
-* ^k/!k-elimination and ok-introduction tensor links stay as
-  mode-tagged cross links;
+* a tensor link of the concatenation family (L/, L\\, R*) becomes a
+  two-premiss comb;
+* a tensor link of the wrap family (L^, L!, Ro) stays a mode-tagged
+  cross link;
+* a par link (R/, R\\, R^, R!, L*, Lo) becomes a par node tagged with
+  its operator;
 * hypotheses become combs listing their string-term material (words and
   separators) above an unlabeled point;
 * each auxiliary input of a par link (an active conclusion standing for
@@ -104,9 +108,6 @@ class ParNode:
     main: int  # equals premiss for "*" and "o"
     groups: list  # one ordered tether-point list per auxiliary input
     source: int
-
-
-PAR_TAG = {"R\\": "\\", "R/": "/", "R^": "^", "R!": "!", "L*": "*", "Lo": "o"}
 
 
 class APS:
@@ -313,24 +314,17 @@ def to_aps(ps: "pstruct.ProofStructure", hyp_terms: dict, sig) -> APS:
 
     pending_aux = []
     for idx, link in enumerate(ps.links):
-        if link.kind == "tensor":
-            if link.tag in pstruct.TENSOR_PLUS_TAGS:
-                aps.add_comb([Pt(link.premisses[0]), Pt(link.premisses[1])],
-                             link.conclusions[0])
-            else:
-                aps.add_cross(link.mode, link.premisses[0], link.premisses[1],
-                              link.conclusions[0], idx)
+        op = link.tag[1]
+        if link.kind == "par":
+            par = aps.add_par(op, link.mode, link.premisses[0], link.main, idx)
+            pending_aux.append(
+                (par, [v for v in link.conclusions if v != link.main]))
+        elif op in fm.MODED:
+            aps.add_cross(link.mode, link.premisses[0], link.premisses[1],
+                          link.conclusions[0], idx)
         else:
-            tag = PAR_TAG[link.tag]
-            if tag in ("*", "o"):
-                premiss = link.premisses[0]
-                par = aps.add_par(tag, link.mode, premiss, premiss, idx)
-                aux = list(link.conclusions)
-            else:
-                premiss = link.premisses[0]
-                par = aps.add_par(tag, link.mode, premiss, link.main, idx)
-                aux = [v for v in link.conclusions if v != link.main]
-            pending_aux.append((par, aux))
+            aps.add_comb([Pt(link.premisses[0]), Pt(link.premisses[1])],
+                         link.conclusions[0])
 
     for par, aux in pending_aux:
         for a in aux:

@@ -361,7 +361,6 @@ def main(argv=None) -> int:
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--goal", help="goal formula (default: grammar default)")
         p.add_argument("--all", action="store_true",
                        help="exhaust all linkings instead of stopping at the first reading")
         p.add_argument("--trace", action="store_true", help="print contraction traces")
@@ -373,6 +372,7 @@ def main(argv=None) -> int:
     p_parse = sub.add_parser("parse", help="parse a sentence with a grammar")
     p_parse.add_argument("grammar")
     p_parse.add_argument("sentence")
+    p_parse.add_argument("--goal", help="goal formula (default: grammar default)")
     common(p_parse)
     p_parse.set_defaults(func=cmd_parse)
 

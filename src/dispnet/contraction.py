@@ -142,16 +142,6 @@ class ContractionTrace:
 STRUCTURAL = ("+", "x")
 
 
-def _designated_slot(par, group) -> int:
-    """Which separator (1-based) of a circumfix group receives the
-    wrapped material, per the par link's mode."""
-    if par.mode.kind == ">":
-        return 1
-    if par.mode.kind == "<":
-        return len(group) - 1
-    return par.mode.index
-
-
 def _block_items(par, group_idx):
     """The withdrawn hypothesis's shape: its points interleaved with
     separator slots. Slots match any separator item: a wrap that
@@ -216,7 +206,7 @@ def _sep_available(aps, item, insert_row) -> bool:
     if par is None:
         return True
     if (par.tag in ("!", "o") and item.group == 0
-            and item.index == _designated_slot(par, par.groups[0])):
+            and item.index == par.mode.slot(len(par.groups[0]) - 1)):
         return True
     return len(insert_row) == 1 and is_separator(insert_row[0])
 
@@ -310,7 +300,7 @@ def _match_par_implication(aps, p):
             )
         return Redex("^", p.mode, p.pid, comb.cid, (i, len(block))), None
     if p.tag == "!":
-        j = _designated_slot(p, p.groups[0])
+        j = p.mode.slot(len(p.groups[0]) - 1)
         prefix = block[:2 * j - 1]
         suffix = block[2 * j:]
         if len(row) < len(prefix) + len(suffix):
@@ -329,7 +319,7 @@ def _match_par_product(aps, p):
     if p.tag == "*":
         pattern = block_a + block_b
     else:
-        j = _designated_slot(p, p.groups[0])
+        j = p.mode.slot(len(p.groups[0]) - 1)
         pattern = block_a[:2 * j - 1] + block_b + block_a[2 * j:]
     found, reason = _find_block_start(aps, p.groups[0][0])
     if found is None:
@@ -542,13 +532,6 @@ class NetVerdict:
     trace: ContractionTrace
     comb_term: StringTerm | None = None
     diagnostics: list = field(default_factory=list)
-
-    def describe(self) -> str:
-        if self.kind == "net":
-            return f"net: {self.comb_term}"
-        if self.kind == "string_mismatch":
-            return self.diagnostics[0]
-        return "stuck: " + "; ".join(r.fmt() for r in self.diagnostics)
 
 
 def is_proof_net(ps, hyp_terms, sig, expected=None) -> NetVerdict:

@@ -20,7 +20,7 @@ rest of the system can read sorts as if they were stored on each node.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .terms import FIRST, LAST, Mode, at, parse_mode
 
@@ -82,6 +82,30 @@ class Wrap:
 
 
 Formula = "Atom | Over | Under | Prod | Up | Down | Wrap"
+
+# The operator of each connective in the concrete syntax. Each class takes
+# its two subformulas in the order they are written, then the mode for
+# ^, ! and o.
+OPS = {Over: "/", Under: "\\", Prod: "*", Up: "^", Down: "!", Wrap: "o"}
+CONNECTIVES = {op: cls for cls, op in OPS.items()}
+MODED = "^!o"
+# Field names of each connective's two subformulas, in written order:
+# ``result`` and ``arg`` for an implication, ``left`` and ``right`` for a
+# product or wrap.
+OPERANDS = {cls: tuple(f.name for f in fields(cls))[:2] for cls in OPS}
+
+
+def operands(f) -> tuple:
+    """The two immediate subformulas of a compound formula, as written."""
+    return tuple(getattr(f, name) for name in OPERANDS[type(f)])
+
+
+def connective(op, first, second, mode=None):
+    """The formula ``first op second``; ``mode`` is dropped for the
+    connectives that take none."""
+    if op in MODED:
+        return CONNECTIVES[op](first, second, mode)
+    return CONNECTIVES[op](first, second)
 
 
 class FormulaError(ValueError):
@@ -247,15 +271,6 @@ def top_level_ok(f, sig: Signature) -> bool:
     return True
 
 
-def atoms_of(f) -> set:
-    if isinstance(f, Atom):
-        return {f.name}
-    out = set()
-    for c in _children(f):
-        out |= atoms_of(c)
-    return out
-
-
 # --- concrete syntax ---------------------------------------------------
 #
 # /  \  *        concatenation family
@@ -361,17 +376,7 @@ def parse_formula(text: str):
                 f"mixed connectives need parentheses in {text!r}"
             )
         (op, mode), (a, b) = ops[0], operands
-        if op == "/":
-            return Over(a, b)
-        if op == "\\":
-            return Under(a, b)
-        if op == "*":
-            return Prod(a, b)
-        if op == "^":
-            return Up(a, b, mode)
-        if op == "!":
-            return Down(a, b, mode)
-        return Wrap(a, b, mode)
+        return connective(op, a, b, mode)
 
     f = parse_expr()
     if pos != len(tokens):
@@ -389,17 +394,16 @@ def format_formula(f) -> str:
     def fmt(g):
         if isinstance(g, Atom):
             return g.name
-        if isinstance(g, Over):
-            return f"{group(g.result, isinstance(g.result, Over))}/{group(g.arg, False)}"
-        if isinstance(g, Under):
-            return f"{group(g.arg, False)}\\{group(g.result, isinstance(g.result, Under))}"
-        if isinstance(g, Prod):
-            return f"{group(g.left, False)}*{group(g.right, False)}"
-        if isinstance(g, Up):
-            return f"{group(g.result, False)}^{g.mode}{group(g.arg, False)}"
-        if isinstance(g, Down):
-            return f"{group(g.arg, False)}!{g.mode}{group(g.result, False)}"
-        return f"{group(g.left, False)} o{g.mode} {group(g.right, False)}"
+        a, b = operands(g)
+        op = OPS[type(g)]
+        if op in MODED:
+            op += str(g.mode)
+        if op[0] == "o":  # o needs a token boundary before it
+            op = f" {op} "
+        # only a chain of one / (nesting to the left) or of one \ (to the
+        # right) drops its parentheses
+        return (group(a, type(g) is type(a) is Over) + op
+                + group(b, type(g) is type(b) is Under))
 
     return fmt(f)
 
@@ -411,26 +415,19 @@ def random_formula(rng: random.Random, sig: Signature, max_connectives: int):
     conditions hold, so the result is always well-sorted.
     """
     atom_names = sorted(sig.sorts)
+    ops = tuple(CONNECTIVES)
 
     def gen(budget):
         for _ in range(24):
             if budget == 0 or rng.random() < 0.3:
                 return Atom(rng.choice(atom_names))
-            kind = rng.choice("/\\*^!o")
+            op = rng.choice(ops)
             lb = rng.randint(0, budget - 1)
             a = gen(lb)
             b = gen(budget - 1 - lb)
             if a is None or b is None:
                 continue
-            mode = rng.choice((FIRST, LAST, at(1), at(2)))
-            f = {
-                "/": lambda: Over(a, b),
-                "\\": lambda: Under(a, b),
-                "*": lambda: Prod(a, b),
-                "^": lambda: Up(a, b, mode),
-                "!": lambda: Down(a, b, mode),
-                "o": lambda: Wrap(a, b, mode),
-            }[kind]()
+            f = connective(op, a, b, rng.choice((FIRST, LAST, at(1), at(2))))
             if top_level_ok(f, sig):
                 return f
         return None

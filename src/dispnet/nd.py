@@ -35,11 +35,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from itertools import count
+from typing import Callable, NamedTuple
 
 from . import formula as fm
 from .aps import to_aps
 from .contraction import NetVerdict, contract
-from .proofstructure import Link, ProofStructure, Vertex
+from .proofstructure import ProofStructure, Vertex, make_link
 from .terms import (
     SEP,
     FreshVars,
@@ -230,12 +231,8 @@ def up_i(mode, label, body) -> Rule:
             break
         pre_sort = _items_sort(items[:i])
         post_sort = _items_sort(items[i + len(block):])
-        ok = (
-            (mode.kind == ">" and pre_sort == 0)
-            or (mode.kind == "<" and post_sort == 0)
-            or (mode.kind == "@" and pre_sort == mode.index - 1)
-        )
-        if ok:
+        # the separator left in the infix's place must be the mode's
+        if mode.slot(pre_sort + 1 + post_sort) == pre_sort + 1:
             found = i
             break
         i += 1
@@ -302,20 +299,46 @@ def wrap_e(mode, labels, l, body) -> Rule:
                 discharges=(la, lb))
 
 
-_RULE_FACTORIES = {
-    "\\E": lambda node, kids: under_e(*kids),
-    "/E": lambda node, kids: over_e(*kids),
-    "*I": lambda node, kids: prod_i(*kids),
-    "^E": lambda node, kids: up_e(*kids),
-    "!E": lambda node, kids: down_e(*kids),
-    "oI": lambda node, kids: wrap_i(node.mode, *kids),
-    "\\I": lambda node, kids: under_i(node.discharges[0], kids[0]),
-    "/I": lambda node, kids: over_i(node.discharges[0], kids[0]),
-    "^I": lambda node, kids: up_i(node.mode, node.discharges[0], kids[0]),
-    "!I": lambda node, kids: down_i(node.mode, node.discharges[0], kids[0]),
-    "*E": lambda node, kids: prod_e(node.discharges, *kids),
-    "oE": lambda node, kids: wrap_e(node.mode, node.discharges, *kids),
+class RuleSpec(NamedTuple):
+    sexpr: str         # the rule's name in proof files
+    premisses: int
+    discharges: int
+    make: Callable     # (mode m, discharged labels d, premisses p) -> Rule
+
+
+# Every rule, by name: op+E eliminates the connective op, op+I introduces
+# it. In a proof structure an L+op link is the rule op+E and an R+op link
+# the rule op+I.
+RULES = {
+    "\\E": RuleSpec("under_e", 2, 0, lambda m, d, p: under_e(*p)),
+    "\\I": RuleSpec("under_i", 1, 1, lambda m, d, p: under_i(*d, *p)),
+    "/E": RuleSpec("over_e", 2, 0, lambda m, d, p: over_e(*p)),
+    "/I": RuleSpec("over_i", 1, 1, lambda m, d, p: over_i(*d, *p)),
+    "*E": RuleSpec("prod_e", 2, 2, lambda m, d, p: prod_e(d, *p)),
+    "*I": RuleSpec("prod_i", 2, 0, lambda m, d, p: prod_i(*p)),
+    "^E": RuleSpec("up_e", 2, 0, lambda m, d, p: up_e(*p)),
+    "^I": RuleSpec("up_i", 1, 1, lambda m, d, p: up_i(m, *d, *p)),
+    "!E": RuleSpec("down_e", 2, 0, lambda m, d, p: down_e(*p)),
+    "!I": RuleSpec("down_i", 1, 1, lambda m, d, p: down_i(m, *d, *p)),
+    "oE": RuleSpec("wrap_e", 2, 2, lambda m, d, p: wrap_e(m, d, *p)),
+    "oI": RuleSpec("wrap_i", 2, 0, lambda m, d, p: wrap_i(m, *p)),
 }
+
+
+def apply_rule(name, mode, labels, kids) -> Rule:
+    """Build the node of rule ``name`` through its constructor. Raises
+    NDError for an unknown rule, a wrong number of premisses or
+    discharged labels, or a mode the premisses do not give."""
+    if name not in RULES:
+        raise NDError(f"unknown rule {name}")
+    sexpr, premisses, discharges, make = RULES[name]
+    if len(kids) != premisses or len(labels) != discharges:
+        raise NDError(f"{sexpr}: takes {premisses} premiss(es) and {discharges} "
+                      f"label(s), got {len(kids)} and {len(labels)}")
+    node = make(mode, labels, kids)
+    if node.mode != mode:
+        raise NDError(f"{sexpr}: mode {mode} does not match the formula")
+    return node
 
 
 def check_nd(p, sig) -> list:
@@ -338,12 +361,9 @@ def check_nd(p, sig) -> list:
             return
         for i, child in enumerate(node.children):
             visit(child, f"{path}.{i}")
-        factory = _RULE_FACTORIES.get(node.name)
-        if factory is None:
-            violations.append(f"{path}: unknown rule {node.name}")
-            return
         try:
-            redone = factory(node, node.children)
+            redone = apply_rule(node.name, node.mode, node.discharges,
+                                node.children)
         except NDError as exc:
             violations.append(f"{path}: {exc}")
             return
@@ -387,69 +407,37 @@ def net_of_nd(p, sig):
             vid = new_vertex(node.formula)
             hyp_vertex[node.label] = vid
             return vid
-        name = node.name
-        if name == "\\E":
-            va, vr = build(node.children[0]), build(node.children[1])
-            vc = new_vertex(node.formula)
-            links.append(Link("tensor", "L\\", (va, vr), (vc,)))
-            return vc
-        if name == "/E":
-            vl, vb = build(node.children[0]), build(node.children[1])
-            vc = new_vertex(node.formula)
-            links.append(Link("tensor", "L/", (vl, vb), (vc,)))
-            return vc
-        if name == "^E":
-            vl, vb = build(node.children[0]), build(node.children[1])
-            vc = new_vertex(node.formula)
-            links.append(Link("tensor", "L^", (vl, vb), (vc,), mode=node.mode))
-            return vc
-        if name == "!E":
-            va, vr = build(node.children[0]), build(node.children[1])
-            vc = new_vertex(node.formula)
-            links.append(Link("tensor", "L!", (va, vr), (vc,), mode=node.mode))
-            return vc
-        if name == "*I":
-            va, vb = build(node.children[0]), build(node.children[1])
-            vc = new_vertex(node.formula)
-            links.append(Link("tensor", "R*", (va, vb), (vc,)))
-            return vc
-        if name == "oI":
-            va, vb = build(node.children[0]), build(node.children[1])
-            vc = new_vertex(node.formula)
-            links.append(Link("tensor", "Ro", (va, vb), (vc,), mode=node.mode))
-            return vc
-        if name in ("\\I", "/I", "^I", "!I"):
-            vbody = build(node.children[0])
-            vaux = hyp_vertex[node.discharges[0]]
-            vmain = new_vertex(node.formula)
-            if name == "\\I":
-                links.append(Link("par", "R\\", (vbody,), (vaux, vmain), main=vmain))
-            elif name == "/I":
-                links.append(Link("par", "R/", (vbody,), (vmain, vaux), main=vmain))
-            elif name == "^I":
-                links.append(Link("par", "R^", (vbody,), (vmain, vaux),
-                                  mode=node.mode, main=vmain))
+        kids = [build(c) for c in node.children]
+        withdrawn = [hyp_vertex[label] for label in node.discharges]
+        op, kind = node.name
+        names = fm.OPERANDS[fm.CONNECTIVES[op]]
+        if "result" not in names:
+            # * and o: I joins its premisses into its conclusion, E splits
+            # its major premiss into the withdrawn hypotheses
+            if kind == "I":
+                top = out = new_vertex(node.formula)
+                parts = kids
             else:
-                links.append(Link("par", "R!", (vbody,), (vaux, vmain),
-                                  mode=node.mode, main=vmain))
-            return vmain
-        if name in ("*E", "oE"):
-            vleft = build(node.children[0])
-            vbody = build(node.children[1])
-            va = hyp_vertex[node.discharges[0]]
-            vb = hyp_vertex[node.discharges[1]]
-            tag = "L*" if name == "*E" else "Lo"
-            links.append(Link("par", tag, (vleft,), (va, vb),
-                              mode=node.mode, main=vleft))
-            return vbody
-        raise NDError(f"unknown rule {name}")
+                (top, out), parts = kids, withdrawn
+        else:
+            # an implication: I concludes it from its body (the result)
+            # and withdrawn hypothesis (the argument), E concludes the
+            # major premiss's result from the minor premiss (the argument)
+            r = names.index("result")
+            out = new_vertex(node.formula)
+            if kind == "I":
+                top, parts = out, withdrawn * 2
+                parts[r] = kids[0]
+            else:
+                top, parts = kids[r], list(kids)
+                parts[r] = out
+        tag = ("L" if kind == "E" else "R") + op
+        links.append(make_link(tag, top, *parts, node.mode))
+        return out
 
     goal = build(p)
     leaves = open_leaves_in_order(p)
     hyp_ids = [hyp_vertex[h.label] for h in leaves]
-    for i, vid in enumerate(hyp_ids):
-        vertices[vid] = replace(vertices[vid], origin=("hyp", i))
-    vertices[goal] = replace(vertices[goal], origin=("goal",))
     ps = ProofStructure(vertices, links, hyp_ids, goal)
     terms = {hyp_vertex[h.label]: h.term for h in leaves}
     aps = to_aps(ps, terms, sig)
@@ -471,21 +459,9 @@ def fresh_beyond(terms, prefix="p") -> FreshVars:
     return FreshVars(prefix, top + 1)
 
 
-_TENSOR_RULES = {
-    "L/": lambda link, l, r: over_e(l, r),
-    "L\\": lambda link, l, r: under_e(l, r),
-    "L^": lambda link, l, r: up_e(l, r),
-    "L!": lambda link, l, r: down_e(l, r),
-    "R*": lambda link, l, r: prod_i(l, r),
-    "Ro": lambda link, l, r: wrap_i(link.mode, l, r),
-}
-
-_INTRO_RULES = {
-    "R\\": lambda link, aux, body: under_i(aux, body),
-    "R/": lambda link, aux, body: over_i(aux, body),
-    "R^": lambda link, aux, body: up_i(link.mode, aux, body),
-    "R!": lambda link, aux, body: down_i(link.mode, aux, body),
-}
+def _rule(link) -> str:
+    """The rule a link stands for: L+op is op+E, R+op is op+I."""
+    return link.tag[1] + ("E" if link.tag[0] == "L" else "I")
 
 
 def extract_nd(verdict: NetVerdict, sig) -> "Proof":
@@ -516,18 +492,17 @@ def extract_nd(verdict: NetVerdict, sig) -> "Proof":
         if link is None:
             proof = Hyp(v, verdict.hyp_terms[v], formula)
         elif link.kind == "tensor":
-            proof = _TENSOR_RULES[link.tag](link, *map(build, link.premisses))
+            proof = apply_rule(_rule(link), link.mode, (),
+                               [build(u) for u in link.premisses])
         elif link.main == v:
-            (aux,) = (u for u in link.conclusions if u != v)
-            proof = _INTRO_RULES[link.tag](link, aux, build(link.premisses[0]))
+            aux = tuple(u for u in link.conclusions if u != v)
+            proof = apply_rule(_rule(link), link.mode, aux,
+                               [build(link.premisses[0])])
         else:
             proof = Hyp(v, fresh.term(sig.sort_of(formula)), formula)
         for par in eliminations.get(v, ()):
-            left = build(par.premisses[0])
-            if par.tag == "L*":
-                proof = prod_e(par.conclusions, left, proof)
-            else:
-                proof = wrap_e(par.mode, par.conclusions, left, proof)
+            proof = apply_rule(_rule(par), par.mode, par.conclusions,
+                               [build(par.premisses[0]), proof])
         return proof
 
     try:
@@ -590,124 +565,74 @@ def random_nd_proof(rng: random.Random, sig, max_depth=6, fresh=None,
                 return got
         return leaf(goal, musts)
 
+    def compound(op, first, second):
+        """``first op second`` with a mode under which it is well-sorted,
+        or None."""
+        if op not in fm.MODED:
+            f = fm.connective(op, first, second)
+            return f if fm.top_level_ok(f, sig) else None
+        m = mode_for(lambda m: fm.top_level_ok(
+            fm.connective(op, first, second, m), sig))
+        return None if m is None else fm.connective(op, first, second, m)
+
     def one_move(goal, musts, depth):
-        moves = ["under_e", "over_e", "up_e", "down_e", "prod_e", "wrap_e"]
-        if isinstance(goal, fm.Under):
-            moves.append("under_i")
-        if isinstance(goal, fm.Over):
-            moves.append("over_i")
-        if isinstance(goal, fm.Prod):
-            moves.append("prod_i")
-        if isinstance(goal, fm.Up):
-            moves.append("up_i")
-        if isinstance(goal, fm.Down):
-            moves.append("down_i")
-        if isinstance(goal, fm.Wrap):
-            moves.append("wrap_i")
-        move = rng.choice(moves)
+        moves = ["\\E", "/E", "^E", "!E", "*E", "oE"]
+        if type(goal) in fm.OPS:
+            moves.append(fm.OPS[type(goal)] + "I")
+        name = rng.choice(moves)
+        op, kind = name
+        operands = fm.OPERANDS[fm.CONNECTIVES[op]]
+        implication = "result" in operands
         d = depth - 1
 
-        if move == "under_i":
+        if kind == "I" and implication:
             h = Hyp(next(labels), fresh.term(sig.sort_of(goal.arg)), goal.arg)
             body = gen(goal.result, musts + (h,), d)
-            return under_i(h.label, body) if body is not None else None
-        if move == "over_i":
-            h = Hyp(next(labels), fresh.term(sig.sort_of(goal.arg)), goal.arg)
-            body = gen(goal.result, musts + (h,), d)
-            return over_i(h.label, body) if body is not None else None
-        if move == "up_i":
-            h = Hyp(next(labels), fresh.term(sig.sort_of(goal.arg)), goal.arg)
-            body = gen(goal.result, musts + (h,), d)
-            return up_i(goal.mode, h.label, body) if body is not None else None
-        if move == "down_i":
-            h = Hyp(next(labels), fresh.term(sig.sort_of(goal.arg)), goal.arg)
-            body = gen(goal.result, musts + (h,), d)
-            return down_i(goal.mode, h.label, body) if body is not None else None
-        if move == "prod_i":
+            if body is None:
+                return None
+            return apply_rule(name, getattr(goal, "mode", None), (h.label,), [body])
+        if kind == "I":
             ml, mr = split(musts)
             l = gen(goal.left, ml, d)
             r = gen(goal.right, mr, d)
-            return prod_i(l, r) if l is not None and r is not None else None
-        if move == "wrap_i":
-            ml, mr = split(musts)
-            l = gen(goal.left, ml, d)
-            r = gen(goal.right, mr, d)
-            return wrap_i(goal.mode, l, r) if l is not None and r is not None else None
+            if l is None or r is None:
+                return None
+            return apply_rule(name, getattr(goal, "mode", None), (), [l, r])
 
-        if move == "under_e":
-            a = invent(1)
-            if not fm.top_level_ok(fm.Under(a, goal), sig):
+        if implication:
+            arg = invent(1)
+            major = compound(op, *(goal if n == "result" else arg for n in operands))
+            if major is None:
                 return None
             ml, mr = split(musts)
-            l = gen(a, ml, d)
-            r = gen(fm.Under(a, goal), mr, d)
-            return under_e(l, r) if l is not None and r is not None else None
-        if move == "over_e":
-            b = invent(1)
-            if not fm.top_level_ok(fm.Over(goal, b), sig):
+            l, r = (gen(major if n == "result" else arg, m, d)
+                    for n, m in zip(operands, (ml, mr)))
+            if l is None or r is None:
                 return None
-            ml, mr = split(musts)
-            l = gen(fm.Over(goal, b), ml, d)
-            r = gen(b, mr, d)
-            return over_e(l, r) if l is not None and r is not None else None
-        if move == "up_e":
-            b = invent(1)
-            m = mode_for(lambda m: fm.top_level_ok(fm.Up(goal, b, m), sig))
-            if m is None:
-                return None
-            ml, mr = split(musts)
-            l = gen(fm.Up(goal, b, m), ml, d)
-            r = gen(b, mr, d)
-            return up_e(l, r) if l is not None and r is not None else None
-        if move == "down_e":
-            a = invent(1)
-            m = mode_for(lambda m: fm.top_level_ok(fm.Down(a, goal, m), sig))
-            if m is None:
-                return None
-            ml, mr = split(musts)
-            l = gen(a, ml, d)
-            r = gen(fm.Down(a, goal, m), mr, d)
-            return down_e(l, r) if l is not None and r is not None else None
-        if move == "prod_e":
-            a, b = invent(1), invent(1)
-            ha = Hyp(next(labels), fresh.term(sig.sort_of(a)), a)
-            hb = Hyp(next(labels), fresh.term(sig.sort_of(b)), b)
-            ml, mr = split(musts)
-            l = gen(fm.Prod(a, b), ml, d)
-            if l is None:
-                return None
-            # adjacency of the two components is rare in big bodies:
-            # keep the body shallow and retry the placement a few times
-            for _ in range(4):
-                body = gen(goal, mr + (ha, hb), min(d, 2))
-                if body is None:
-                    continue
-                try:
-                    return prod_e((ha.label, hb.label), l, body)
-                except NDError:
-                    continue
+            return apply_rule(name, getattr(major, "mode", None), (), [l, r])
+
+        a, b = invent(1), invent(1)
+        major = compound(op, a, b)
+        if major is None:
             return None
-        if move == "wrap_e":
-            a, b = invent(1), invent(1)
-            m = mode_for(lambda m: fm.top_level_ok(fm.Wrap(a, b, m), sig))
-            if m is None:
-                return None
-            ha = Hyp(next(labels), fresh.term(sig.sort_of(a)), a)
-            hb = Hyp(next(labels), fresh.term(sig.sort_of(b)), b)
-            ml, mr = split(musts)
-            l = gen(fm.Wrap(a, b, m), ml, d)
-            if l is None:
-                return None
-            for _ in range(4):
-                body = gen(goal, mr + (ha, hb), min(d, 2))
-                if body is None:
-                    continue
-                try:
-                    return wrap_e(m, (ha.label, hb.label), l, body)
-                except NDError:
-                    continue
+        ha = Hyp(next(labels), fresh.term(sig.sort_of(a)), a)
+        hb = Hyp(next(labels), fresh.term(sig.sort_of(b)), b)
+        ml, mr = split(musts)
+        l = gen(major, ml, d)
+        if l is None:
             return None
-        raise AssertionError(move)
+        # adjacency of the two components is rare in big bodies:
+        # keep the body shallow and retry the placement a few times
+        for _ in range(4):
+            body = gen(goal, mr + (ha, hb), min(d, 2))
+            if body is None:
+                continue
+            try:
+                return apply_rule(name, getattr(major, "mode", None),
+                                  (ha.label, hb.label), [l, body])
+            except NDError:
+                continue
+        return None
 
     while True:
         goal = fm.random_formula(rng, sig, 2)
@@ -807,19 +732,13 @@ def proofs_equal(p, q) -> bool:
 
 # -- serialization ------------------------------------------------------------
 
-_SEXPR_NAMES = {
-    "\\E": "under_e", "\\I": "under_i", "/E": "over_e", "/I": "over_i",
-    "*I": "prod_i", "*E": "prod_e", "^E": "up_e", "^I": "up_i",
-    "!E": "down_e", "!I": "down_i", "oI": "wrap_i", "oE": "wrap_e",
-}
-_SEXPR_RULES = {v: k for k, v in _SEXPR_NAMES.items()}
+_BY_SEXPR = {spec.sexpr: name for name, spec in RULES.items()}
 
 
 def nd_to_sexpr(p) -> str:
     if isinstance(p, Hyp):
         return f'(hyp {p.label} "{p.term}" "{fm.format_formula(p.formula)}")'
-    name = _SEXPR_NAMES[p.name]
-    parts = [name]
+    parts = [RULES[p.name].sexpr]
     if p.mode is not None:
         parts.append(str(p.mode))
     parts.extend(str(l) for l in p.discharges)
@@ -837,7 +756,9 @@ def _sexpr_tokens(text):
             yield c
             i += 1
         elif c == '"':
-            j = text.index('"', i + 1)
+            j = text.find('"', i + 1)
+            if j < 0:
+                raise NDError(f"unterminated string {text[i:i + 20]!r} in proof file")
             yield ("str", text[i + 1:j])
             i = j + 1
         else:
@@ -848,85 +769,71 @@ def _sexpr_tokens(text):
             i = j
 
 
+def _show(tok) -> str:
+    if isinstance(tok, str):
+        return tok
+    return tok[1] if tok[0] == "sym" else f'"{tok[1]}"'
+
+
 def _sexpr_read(tokens):
+    """The next expression: a token, a parenthesized list of expressions,
+    or ``)`` where a list ends."""
     tok = next(tokens)
-    if tok == "(":
-        items = []
-        while True:
-            item = _sexpr_read_or_close(tokens)
-            if item is _CLOSE:
-                return items
-            items.append(item)
-    raise NDError(f"unexpected token {tok!r} in proof file")
-
-
-_CLOSE = object()
-
-
-def _sexpr_read_or_close(tokens):
-    tok = next(tokens)
-    if tok == ")":
-        return _CLOSE
-    if tok == "(":
-        items = []
-        while True:
-            item = _sexpr_read_or_close(tokens)
-            if item is _CLOSE:
-                return items
-            items.append(item)
-    return tok
+    if tok != "(":
+        return tok
+    items = []
+    while (item := _sexpr_read(tokens)) != ")":
+        items.append(item)
+    return items
 
 
 def nd_from_sexpr(text: str):
     """Parse a serialized proof, rebuilding it through the validating
     constructors (so a loaded proof is a checked proof as far as string
     arithmetic goes; run check_nd with a signature for sort checks)."""
+    tokens = _sexpr_tokens(text)
     try:
-        tree = _sexpr_read(_sexpr_tokens(text))
+        tree = _sexpr_read(tokens)
     except StopIteration:
         raise NDError("truncated proof expression") from None
+    if not isinstance(tree, list):
+        raise NDError(f"unexpected token {_show(tree)!r} in proof file")
+    rest = next(tokens, None)
+    if rest is not None:
+        raise NDError(f"trailing material {_show(rest)!r} after the proof")
     return _build_sexpr(tree)
 
 
+def _label(head, text) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise NDError(f"{head}: label {text!r} is not an integer") from None
+
+
 def _build_sexpr(tree):
-    if not isinstance(tree, list) or not tree:
-        raise NDError(f"bad proof expression {tree!r}")
-    head = tree[0]
-    if not (isinstance(head, tuple) and head[0] == "sym"):
-        raise NDError(f"bad proof expression head {head!r}")
-    kind = head[1]
-    args = tree[1:]
-    if kind == "hyp":
+    if not tree or not isinstance(tree[0], tuple) or tree[0][0] != "sym":
+        raise NDError("a proof expression must start with a rule name")
+    head, args = tree[0][1], tree[1:]
+    if head == "hyp":
+        kinds = [a[0] if isinstance(a, tuple) else "(" for a in args]
+        if kinds != ["sym", "str", "str"]:
+            raise NDError('hyp: expected a label, a "term" and a "formula"')
         (_, label), (_, term), (_, formula) = args
-        return Hyp(int(label), parse_term(term), fm.parse_formula(formula))
-    rule = _SEXPR_RULES.get(kind)
-    if rule is None:
-        raise NDError(f"unknown proof rule {kind!r}")
-    syms = [a[1] for a in args if isinstance(a, tuple) and a[0] == "sym"]
-    subs = [_build_sexpr(a) for a in args if isinstance(a, list)]
-    if rule in ("\\E", "/E", "*I"):
-        f = {"\\E": under_e, "/E": over_e, "*I": prod_i}[rule]
-        return f(*subs)
-    if rule in ("^E", "!E", "oI"):
-        mode = parse_mode(syms[0])
-        f = {"^E": up_e, "!E": down_e}.get(rule)
-        if f is not None:
-            node = f(*subs)
-            if node.mode != mode:
-                raise NDError(f"{kind}: mode {mode} does not match the formula")
-            return node
-        return wrap_i(mode, *subs)
-    if rule in ("\\I", "/I"):
-        f = under_i if rule == "\\I" else over_i
-        return f(int(syms[0]), *subs)
-    if rule in ("^I", "!I"):
-        f = up_i if rule == "^I" else down_i
-        return f(parse_mode(syms[0]), int(syms[1]), *subs)
-    if rule == "*E":
-        return prod_e((int(syms[0]), int(syms[1])), *subs)
-    if rule == "oE":
-        return wrap_e(parse_mode(syms[0]), (int(syms[1]), int(syms[2])), *subs)
-    raise AssertionError(rule)
+        return Hyp(_label(head, label), parse_term(term), fm.parse_formula(formula))
+    name = _BY_SEXPR.get(head)
+    if name is None:
+        raise NDError(f"unknown proof rule {head!r}")
+    moded, discharges = name[0] in fm.MODED, RULES[name].discharges
+    syms = [a for a in args if not isinstance(a, list)]
+    if len(syms) != moded + discharges or any(a[0] != "sym" for a in syms):
+        want = ["a mode"] * moded + [f"{discharges} label(s)"] * (discharges > 0)
+        raise NDError(f"{head}: expected {' and '.join(want) or 'no mode or label'}"
+                      f", got {' '.join(map(_show, syms)) or 'none'}")
+    mode = parse_mode(syms[0][1]) if moded else None
+    labels = tuple(_label(head, a[1]) for a in syms[moded:])
+    return apply_rule(name, mode, labels,
+                      [_build_sexpr(a) for a in args if isinstance(a, list)])
 
 
 # -- LaTeX --------------------------------------------------------------------
@@ -945,9 +852,6 @@ def latex_term(term: StringTerm) -> str:
 
 
 def latex_formula(f) -> str:
-    def mode_sub(m):
-        return f"_{{{m}}}"
-
     def group(g):
         s = fmt(g)
         return s if isinstance(g, fm.Atom) else f"({s})"
@@ -955,17 +859,12 @@ def latex_formula(f) -> str:
     def fmt(g):
         if isinstance(g, fm.Atom):
             return f"\\mathit{{{g.name}}}"
-        if isinstance(g, fm.Over):
-            return f"{group(g.result)}/{group(g.arg)}"
-        if isinstance(g, fm.Under):
-            return f"{group(g.arg)}\\backslash {group(g.result)}"
-        if isinstance(g, fm.Prod):
-            return f"{group(g.left)}\\bullet {group(g.right)}"
-        if isinstance(g, fm.Up):
-            return f"{group(g.result)}\\uparrow{mode_sub(g.mode)} {group(g.arg)}"
-        if isinstance(g, fm.Down):
-            return f"{group(g.arg)}\\downarrow{mode_sub(g.mode)} {group(g.result)}"
-        return f"{group(g.left)}\\odot{mode_sub(g.mode)} {group(g.right)}"
+        a, b = fm.operands(g)
+        op = fm.OPS[type(g)]
+        if op == "/":
+            return f"{group(a)}/{group(b)}"
+        mode = f"_{{{g.mode}}}" if op in fm.MODED else ""
+        return f"{group(a)}{_LATEX_OPS[op]}{mode} {group(b)}"
 
     return fmt(f)
 

@@ -3,20 +3,24 @@
 Unfolding decomposes the hypotheses (positively) and the goal
 (negatively) of a sequent into a proof frame: a set of formula
 occurrences connected by two-premiss/one-conclusion tensor links and
-one-premiss/two-conclusion par links. Which link a connective gets
-depends on the side it is unfolded on:
+one-premiss/two-conclusion par links. One rule gives every link. A
+formula with operator op gets the link L+op when it is positive and
+R+op when it is negative. An L link is a tensor for an implication
+(/, \\, ^k, !k) and a par for a product or wrap (*, ok); an R link is
+the other way round. An implication's result keeps the polarity and its
+argument flips it; the two parts of a product or wrap keep it. The one
+side of a link (the conclusion of a tensor, the premiss of a par) holds
+an implication's result or a product's compound; the two side holds the
+other two formulas in the order the compound writes them, the compound
+standing in for an implication's result. Read as natural deduction, an
+L+op link is the rule op+E and an R+op link the rule op+I.
 
-    positive /, \\, ^k, !k   -> tensor link (modus-ponens shape)
-    positive *, ok           -> par link (both subformulas become inputs)
-    negative *, ok           -> tensor link
-    negative /, \\, ^k, !k   -> par link (hypothetical reasoning)
-
-Par links carry an arrow to their main formula. Unfolding bottoms out
-in atoms; positive atoms produce material, negative atoms consume it.
-A proof structure arises from a frame by choosing an axiom linking: a
-bijection, per atom name, between producer and consumer occurrences.
-Every formula ends up the premiss of at most one link and the
-conclusion of at most one link.
+Par links carry an arrow to their main formula, the compound. Unfolding
+bottoms out in atoms; positive atoms produce material, negative atoms
+consume it. A proof structure arises from a frame by choosing an axiom
+linking: a bijection, per atom name, between producer and consumer
+occurrences. Every formula ends up the premiss of at most one link and
+the conclusion of at most one link.
 
 Linkings are enumerated by a lazy backtracking search. When the sequent
 is anchored in a sentence (parsing), the search also follows the
@@ -47,16 +51,11 @@ from dataclasses import dataclass, field, replace
 from . import formula as fm
 from .terms import Mode
 
-TENSOR_PLUS_TAGS = {"L\\", "L/", "R*"}
-TENSOR_CROSS_TAGS = {"L^", "L!", "Ro"}
-PAR_TAGS = {"R\\", "R/", "L*", "R^", "R!", "Lo"}
-
 
 @dataclass(frozen=True)
 class Vertex:
     vid: int
     formula: "fm.Formula"
-    origin: tuple = ("internal",)  # ("hyp", i) | ("goal",) | ("internal",)
 
 
 @dataclass(frozen=True)
@@ -79,6 +78,59 @@ class Link:
             f"[{' '.join(map(str, self.premisses))}] -> "
             f"[{' '.join(map(str, self.conclusions))}]{main}"
         )
+
+
+def _layout(cls, side):
+    """The kind of the link ``side + op``, and its compound (0), first
+    operand (1) and second operand (2) in the order ``vertices()`` holds
+    them; the module docstring gives the rule."""
+    names = fm.OPERANDS[cls]
+    if "result" in names:
+        result = names.index("result") + 1
+        one, two = (result,), tuple(0 if i == result else i for i in (1, 2))
+        tensor = side == "L"
+    else:
+        one, two = (0,), (1, 2)
+        tensor = side == "R"
+    return ("tensor", two + one) if tensor else ("par", one + two)
+
+
+_LAYOUT = {side + op: _layout(cls, side)
+           for cls, op in fm.OPS.items() for side in "LR"}
+
+# Per link tag: the index in ``link.vertices()`` of the compound formula's
+# vertex, then of its two operands.
+_SHAPE = {tag: tuple(order.index(i) for i in range(3))
+          for tag, (_, order) in _LAYOUT.items()}
+
+
+def make_link(tag, top, first, second, mode=None) -> Link:
+    """The link ``tag`` on compound vertex ``top`` and the vertices of
+    its two operands, in the order the formula writes them."""
+    kind, (i, j, k) = _LAYOUT[tag]
+    v = (top, first, second)
+    if kind == "tensor":
+        return Link(kind, tag, (v[i], v[j]), (v[k],), mode)
+    return Link(kind, tag, (v[i],), (v[j], v[k]), mode, top)
+
+
+def _unfolding(cls, positive):
+    """How ``unfold`` takes a compound formula apart: its link tag, the
+    operand (field name and polarity) whose vertex is made first, then
+    the other, whether that order is the reverse of the written one, and
+    whether the connective has a mode. An argument flips the polarity; a
+    result or a part keeps it. The argument is made first under a
+    positive implication, the result first under a negative one."""
+    names = fm.OPERANDS[cls]
+    polarity = [positive != (n == "arg") for n in names]
+    first = names.index("arg" if positive else "result") if "arg" in names else 0
+    made = [(names[i], polarity[i]) for i in (first, 1 - first)]
+    op = fm.OPS[cls]
+    return (("L" if positive else "R") + op, *made, first == 1, op in fm.MODED)
+
+
+_UNFOLDING = {(cls, positive): _unfolding(cls, positive)
+              for cls in fm.OPS for positive in (True, False)}
 
 
 class CountMismatch(ValueError):
@@ -135,100 +187,33 @@ def unfold(hypotheses, goal, sig) -> ProofFrame:
     consumers = {}
     counter = 0
 
-    def new_vertex(f, origin=("internal",)):
+    def new_vertex(f):
         nonlocal counter
-        v = Vertex(counter, f, origin)
-        vertices[counter] = v
+        vertices[counter] = Vertex(counter, f)
         counter += 1
-        return v.vid
+        return counter - 1
 
     def expand(vid, positive):
         f = vertices[vid].formula
-        if isinstance(f, fm.Atom):
+        if type(f) is fm.Atom:
             side = producers if positive else consumers
             side.setdefault(f.name, []).append(vid)
             return
-        if positive:
-            if isinstance(f, fm.Over):
-                b = new_vertex(f.arg)
-                c = new_vertex(f.result)
-                links.append(Link("tensor", "L/", (vid, b), (c,)))
-                expand(b, False)
-                expand(c, True)
-            elif isinstance(f, fm.Under):
-                a = new_vertex(f.arg)
-                c = new_vertex(f.result)
-                links.append(Link("tensor", "L\\", (a, vid), (c,)))
-                expand(a, False)
-                expand(c, True)
-            elif isinstance(f, fm.Up):
-                b = new_vertex(f.arg)
-                c = new_vertex(f.result)
-                links.append(Link("tensor", "L^", (vid, b), (c,), mode=f.mode))
-                expand(b, False)
-                expand(c, True)
-            elif isinstance(f, fm.Down):
-                a = new_vertex(f.arg)
-                c = new_vertex(f.result)
-                links.append(Link("tensor", "L!", (a, vid), (c,), mode=f.mode))
-                expand(a, False)
-                expand(c, True)
-            elif isinstance(f, fm.Prod):
-                a = new_vertex(f.left)
-                b = new_vertex(f.right)
-                links.append(Link("par", "L*", (vid,), (a, b), main=vid))
-                expand(a, True)
-                expand(b, True)
-            elif isinstance(f, fm.Wrap):
-                a = new_vertex(f.left)
-                b = new_vertex(f.right)
-                links.append(Link("par", "Lo", (vid,), (a, b), mode=f.mode, main=vid))
-                expand(a, True)
-                expand(b, True)
-        else:
-            if isinstance(f, fm.Over):
-                c = new_vertex(f.result)
-                b = new_vertex(f.arg)
-                links.append(Link("par", "R/", (c,), (vid, b), main=vid))
-                expand(c, False)
-                expand(b, True)
-            elif isinstance(f, fm.Under):
-                c = new_vertex(f.result)
-                a = new_vertex(f.arg)
-                links.append(Link("par", "R\\", (c,), (a, vid), main=vid))
-                expand(c, False)
-                expand(a, True)
-            elif isinstance(f, fm.Up):
-                c = new_vertex(f.result)
-                b = new_vertex(f.arg)
-                links.append(Link("par", "R^", (c,), (vid, b), mode=f.mode, main=vid))
-                expand(c, False)
-                expand(b, True)
-            elif isinstance(f, fm.Down):
-                c = new_vertex(f.result)
-                a = new_vertex(f.arg)
-                links.append(Link("par", "R!", (c,), (a, vid), mode=f.mode, main=vid))
-                expand(c, False)
-                expand(a, True)
-            elif isinstance(f, fm.Prod):
-                a = new_vertex(f.left)
-                b = new_vertex(f.right)
-                links.append(Link("tensor", "R*", (a, b), (vid,)))
-                expand(a, False)
-                expand(b, False)
-            elif isinstance(f, fm.Wrap):
-                a = new_vertex(f.left)
-                b = new_vertex(f.right)
-                links.append(Link("tensor", "Ro", (a, b), (vid,), mode=f.mode))
-                expand(a, False)
-                expand(b, False)
+        tag, (xf, xpos), (yf, ypos), swapped, moded = _UNFOLDING[type(f), positive]
+        x = new_vertex(getattr(f, xf))
+        y = new_vertex(getattr(f, yf))
+        mode = f.mode if moded else None
+        links.append(make_link(tag, vid, y, x, mode) if swapped
+                     else make_link(tag, vid, x, y, mode))
+        expand(x, xpos)
+        expand(y, ypos)
 
     hyp_ids = []
-    for i, h in enumerate(hypotheses):
-        vid = new_vertex(h, ("hyp", i))
+    for h in hypotheses:
+        vid = new_vertex(h)
         hyp_ids.append(vid)
         expand(vid, True)
-    goal_id = new_vertex(goal, ("goal",))
+    goal_id = new_vertex(goal)
     expand(goal_id, False)
 
     return ProofFrame(vertices, links, hyp_ids, goal_id, producers, consumers)
@@ -291,29 +276,6 @@ class Anchors:
     goal: tuple
 
 
-# Per link tag: the index in ``link.vertices()`` of the compound formula's
-# vertex, then of its two immediate subformulas in field order (C/B:
-# result, arg; A\C: arg, result; C^kB: result, arg; A!kC: arg, result;
-# A*B and AokB: left, right).
-_SHAPE = {
-    "L/": (0, 2, 1), "R/": (1, 0, 2),
-    "L\\": (1, 0, 2), "R\\": (2, 1, 0),
-    "L^": (0, 2, 1), "R^": (1, 0, 2),
-    "L!": (1, 0, 2), "R!": (2, 1, 0),
-    "L*": (0, 1, 2), "R*": (2, 0, 1),
-    "Lo": (0, 1, 2), "Ro": (2, 0, 1),
-}
-
-
-def _slot(mode, sort) -> int:
-    """The separator (1-based) a wrap mode picks among ``sort`` of them."""
-    if mode.kind == ">":
-        return 1
-    if mode.kind == "<":
-        return sort
-    return mode.index
-
-
 def _wrap(x, i, y):
     """Positions of x with its i-th separator replaced by y."""
     return x[:2 * i - 1] + y[1:-1] + x[2 * i + 1:]
@@ -334,16 +296,16 @@ def _split(f, formula, sig, fresh):
         p = fresh(1)
         return f[:k] + p, p + f[k:]
     if isinstance(formula, fm.Up):      # C = (C^kB) wrapped around B
-        i = _slot(formula.mode, len(f) // 2 - 1)
+        i = formula.mode.slot(len(f) // 2 - 1)
         b = (f[2 * i - 1],) + fresh(2 * sig.sort_of(formula.arg)) + (f[2 * i],)
         return _wrap(f, i, b), b
     if isinstance(formula, fm.Down):    # C = A wrapped around (A!kC)
         sa = sig.sort_of(formula.arg)
-        i = _slot(formula.mode, sa)
+        i = formula.mode.slot(sa)
         a = fresh(2 * i - 1) + (f[0], f[-1]) + fresh(2 * sa + 1 - 2 * i)
         return a, _wrap(a, i, f)
     # AokB = A wrapped around B
-    i = _slot(formula.mode, sig.sort_of(formula.left))
+    i = formula.mode.slot(sig.sort_of(formula.left))
     k = 2 * i - 1 + 2 * sig.sort_of(formula.right)
     p, q = fresh(2)
     return f[:2 * i - 1] + (p, q) + f[k:], (p,) + f[2 * i - 1:k] + (q,)

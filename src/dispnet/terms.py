@@ -67,6 +67,16 @@ class Mode:
     def __str__(self):
         return str(self.index) if self.kind == "@" else self.kind
 
+    def slot(self, sort: int) -> int:
+        """The separator (1-based) this mode picks among ``sort`` of them.
+        A numeric mode picks its index even past ``sort``; callers that
+        can meet such a mode check it."""
+        if self.kind == ">":
+            return 1
+        if self.kind == "<":
+            return sort
+        return self.index
+
 
 FIRST = Mode(">")
 LAST = Mode("<")
@@ -112,13 +122,6 @@ class StringTerm:
 EMPTY = StringTerm(())
 
 
-def term_of_words(*syms: str) -> StringTerm:
-    for s in syms:
-        if not _WORD_RE.match(s):
-            raise TermError(f"bad word {s!r}")
-    return StringTerm(tuple(syms))
-
-
 def sort_of_string(term: StringTerm) -> int:
     """Number of separator occurrences in the term."""
     return term.sort
@@ -142,16 +145,10 @@ def split_at_sep(alpha: StringTerm, mode: Mode):
     seps = sep_positions(alpha.items)
     if not seps:
         raise WrapOnSortZero(f"term {alpha} has sort 0")
-    if mode.kind == ">":
-        pos = seps[0]
-    elif mode.kind == "<":
-        pos = seps[-1]
-    else:
-        if mode.index > len(seps):
-            raise IndexOutOfRange(
-                f"separator {mode.index} of {alpha} (sort {len(seps)})"
-            )
-        pos = seps[mode.index - 1]
+    i = mode.slot(len(seps))
+    if i > len(seps):
+        raise IndexOutOfRange(f"separator {i} of {alpha} (sort {len(seps)})")
+    pos = seps[i - 1]
     return alpha.items[:pos], alpha.items[pos + 1:]
 
 

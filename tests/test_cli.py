@@ -330,6 +330,31 @@ def test_check_rejects_bad_proof(tmp_path, capsys):
     assert "violation" in out
 
 
+@pytest.mark.parametrize("proof, message", [
+    ('(under_e (hyp 0 "a" "np"))', "under_e: takes 2 premiss(es)"),
+    ('(hyp 0 "a" "np") extra', "trailing material 'extra'"),
+    ('(hyp 0 "a")', 'hyp: expected a label, a "term" and a "formula"'),
+    ('(hyp x "a" "np")', "hyp: label 'x' is not an integer"),
+    ('(up_e (hyp 0 "a+1+b" "s^>np") (hyp 1 "c" "np"))',
+     "up_e: expected a mode, got none"),
+    ('(hyp 0 "a" "np', "unterminated string '\"np'"),
+], ids=["premisses", "trailing", "hyp-arity", "label", "mode", "string"])
+def test_check_malformed_proof_is_input_error(proof, message, tmp_path, capsys):
+    path = tmp_path / "bad.nd"
+    path.write_text("np 0\ns 0\n" + proof + "\n")
+    code, out, err = run(["check", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_prove_has_no_goal_option(sig_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["prove", sig_file, "np |- np", "--goal", "s"])
+    assert exc.value.code == 2
+    assert "--goal" in capsys.readouterr().err
+
+
 def test_check_file_missing(capsys):
     code, out, err = run(["check", "/nonexistent/file.nd"], capsys)
     assert code == 2

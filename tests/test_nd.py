@@ -115,6 +115,58 @@ def test_net_of_nd_axiom():
     assert str(aps.final_term()) == "x+1+y"
 
 
+# One proof per rule and the proof structure ``net_of_nd`` builds for it:
+# the link, and the formula of each vertex in vertex-id order.
+NET_LAYOUT = [
+    ('(under_e (hyp 0 "a" "np") (hyp 1 "b" "np\\s"))',
+     ["tensor L\\ [0 1] -> [2]"], ["np", "np\\s", "s"]),
+    ('(over_e (hyp 0 "a" "s/np") (hyp 1 "b" "np"))',
+     ["tensor L/ [0 1] -> [2]"], ["s/np", "np", "s"]),
+    ('(prod_i (hyp 0 "a" "np") (hyp 1 "b" "s"))',
+     ["tensor R* [0 1] -> [2]"], ["np", "s", "np*s"]),
+    ('(up_e > (hyp 0 "a+1+b" "s^>np") (hyp 1 "c" "np"))',
+     ["tensor L^> [0 1] -> [2]"], ["s^>np", "np", "s"]),
+    ('(down_e > (hyp 0 "a+1+b" "j") (hyp 1 "c" "j!>s"))',
+     ["tensor L!> [0 1] -> [2]"], ["j", "j!>s", "s"]),
+    ('(wrap_i > (hyp 0 "a+1+b" "j") (hyp 1 "c" "np"))',
+     ["tensor Ro> [0 1] -> [2]"], ["j", "np", "j o> np"]),
+    ('(under_i 0 (under_e (hyp 0 "a" "np") (hyp 1 "b" "np\\s")))',
+     ["tensor L\\ [0 1] -> [2]", "par R\\ [2] -> [0 3] main=3"],
+     ["np", "np\\s", "s", "np\\s"]),
+    ('(over_i 0 (over_e (hyp 1 "b" "s/np") (hyp 0 "a" "np")))',
+     ["tensor L/ [0 1] -> [2]", "par R/ [2] -> [3 1] main=3"],
+     ["s/np", "np", "s", "s/np"]),
+    ('(up_i < 0 (over_e (hyp 1 "b" "s/np") (hyp 0 "a" "np")))',
+     ["tensor L/ [0 1] -> [2]", "par R^< [2] -> [3 1] main=3"],
+     ["s/np", "np", "s", "s^<np"]),
+    ('(down_i > 0 (down_e > (hyp 0 "x+1+y" "j") (hyp 1 "c" "j!>s")))',
+     ["tensor L!> [0 1] -> [2]", "par R!> [2] -> [0 3] main=3"],
+     ["j", "j!>s", "s", "j!>s"]),
+    ('(prod_e 1 2 (hyp 0 "a" "np*s") '
+     '(prod_i (hyp 1 "x" "np") (hyp 2 "y" "s")))',
+     ["tensor R* [1 2] -> [3]", "par L* [0] -> [1 2] main=0"],
+     ["np*s", "np", "s", "np*s"]),
+    ('(wrap_e > 1 2 (hyp 0 "a" "j o> np") '
+     '(wrap_i > (hyp 1 "x+1+y" "j") (hyp 2 "z" "np")))',
+     ["tensor Ro> [1 2] -> [3]", "par Lo> [0] -> [1 2] main=0"],
+     ["j o> np", "j", "np", "j o> np"]),
+]
+
+
+def test_net_layout_covers_every_rule():
+    names = {nd_from_sexpr(text).name for text, _, _ in NET_LAYOUT}
+    assert names == {"\\E", "/E", "*I", "^E", "!E", "oI",
+                     "\\I", "/I", "^I", "!I", "*E", "oE"}
+
+
+@pytest.mark.parametrize("text, dump, formulas", NET_LAYOUT)
+def test_net_of_nd_layout(text, dump, formulas):
+    ps = net_of_nd(nd_from_sexpr(text), SIG)[0]
+    assert ps.dump().splitlines() == dump
+    assert [F(f) for f in formulas] == [
+        ps.vertices[v].formula for v in sorted(ps.vertices)]
+
+
 def test_extract_ring_up():
     p = ring_up_proof()
     ps, terms, aps, trace = net_of_nd(p, SIG)

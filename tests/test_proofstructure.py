@@ -8,7 +8,13 @@ import pytest
 
 from conftest import CORPUS_SIG
 from dispnet.contraction import is_proof_net
-from dispnet.formula import Atom, Signature, parse_formula, random_formula
+from dispnet.formula import (
+    Atom,
+    Signature,
+    format_formula,
+    parse_formula,
+    random_formula,
+)
 from dispnet.nd import open_leaves_in_order
 from dispnet.proofstructure import (
     Anchors,
@@ -145,6 +151,68 @@ def test_dump_stable():
     frame = ring_up_frame()
     assert frame.dump() == unfold(RING_UP_HYPS, GOAL_S, SIG).dump()
     assert "par R^> " in frame.dump()
+
+
+# One connective unfolded on each side: the link, and the formula of each
+# vertex in vertex-id order. Vertex numbering fixes the linking order, so
+# ``Reading.linking_index`` and the comb ids in traces depend on it.
+UNFOLD_LAYOUT = [
+    ("s/np", True, "tensor L/ [0 1] -> [2]", ["s/np", "np", "s", "n"]),
+    ("s/np", False, "par R/ [1] -> [0 2] main=0", ["s/np", "s", "np"]),
+    ("np\\s", True, "tensor L\\ [1 0] -> [2]", ["np\\s", "np", "s", "n"]),
+    ("np\\s", False, "par R\\ [1] -> [2 0] main=0", ["np\\s", "s", "np"]),
+    ("np*s", True, "par L* [0] -> [1 2] main=0", ["np*s", "np", "s", "n"]),
+    ("np*s", False, "tensor R* [1 2] -> [0]", ["np*s", "np", "s"]),
+    ("s^>np", True, "tensor L^> [0 1] -> [2]", ["s^>np", "np", "s", "n"]),
+    ("s^>np", False, "par R^> [1] -> [0 2] main=0", ["s^>np", "s", "np"]),
+    ("inf!<s", True, "tensor L!< [1 0] -> [2]", ["inf!<s", "inf", "s", "n"]),
+    ("inf!<s", False, "par R!< [1] -> [2 0] main=0", ["inf!<s", "s", "inf"]),
+    ("inf o1 np", True, "par Lo1 [0] -> [1 2] main=0",
+     ["inf o1 np", "inf", "np", "n"]),
+    ("inf o1 np", False, "tensor Ro1 [1 2] -> [0]", ["inf o1 np", "inf", "np"]),
+]
+
+
+def vertex_formulas(structure):
+    return [format_formula(structure.vertices[v].formula)
+            for v in sorted(structure.vertices)]
+
+
+@pytest.mark.parametrize("text, positive, dump, formulas", UNFOLD_LAYOUT)
+def test_unfold_layout(text, positive, dump, formulas):
+    f = parse_formula(text)
+    frame = unfold([f], Atom("n"), SIG) if positive else unfold([], f, SIG)
+    assert frame.dump() == dump
+    assert vertex_formulas(frame) == formulas
+
+
+def test_unfold_layout_nested():
+    """Subformulas are unfolded depth first, each link's two new vertices
+    before either is unfolded."""
+    hyps = [parse_formula("(np\\s)/(n*np)"), parse_formula("(s^>np)!>s"),
+            parse_formula("inf o> (np/n)")]
+    frame = unfold(hyps, parse_formula("(n*np)\\((inf!<s)/np)"), SIG)
+    assert frame.dump().splitlines() == [
+        "tensor L/ [0 1] -> [2]",
+        "tensor R* [3 4] -> [1]",
+        "tensor L\\ [5 2] -> [6]",
+        "tensor L!> [8 7] -> [9]",
+        "par R^> [10] -> [8 11] main=8",
+        "par Lo> [12] -> [13 14] main=12",
+        "tensor L/ [14 15] -> [16]",
+        "par R\\ [18] -> [19 17] main=17",
+        "par R/ [20] -> [18 21] main=18",
+        "par R!< [22] -> [23 20] main=20",
+        "par L* [19] -> [24 25] main=19",
+    ]
+    assert vertex_formulas(frame) == [
+        "(np\\s)/(n*np)", "n*np", "np\\s", "n", "np", "np", "s",
+        "(s^>np)!>s", "s^>np", "s", "s", "np",
+        "inf o> (np/n)", "inf", "np/n", "n", "np",
+        "(n*np)\\((inf!<s)/np)", "(inf!<s)/np", "n*np", "inf!<s", "np", "s",
+        "inf", "n", "np",
+    ]
+    assert (frame.hypotheses, frame.goal) == ([0, 7, 12], 17)
 
 
 def local_sort_ok(link, vertices, sig):
