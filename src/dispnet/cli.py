@@ -15,7 +15,11 @@ reading set as the human-readable report.
 ``--mode net`` accepts any linking whose abstract proof structure
 contracts to a comb; the default ``parse`` mode additionally requires
 the comb to spell the expected string (the sentence for ``parse``, the
-stated goal term for ``prove``).
+stated goal term for ``prove``). In ``parse`` mode, ``parse`` and
+``prove`` alike skip, before contraction, every linking whose string
+positions clash with that string (``stats.pruned``); ``prove`` does so
+whenever its terms read as tokens of the string, as a bare sequent's
+fresh terms always do.
 """
 
 from __future__ import annotations
@@ -68,8 +72,12 @@ def run_sequent(hyp_pairs, goal_formula, sig, expected=None, mode="parse",
                 all_readings=False, cover=(), anchors=None):
     """Decide one sequent; hyp_pairs are (StringTerm, Formula). With
     ``anchors`` (see ``proofstructure.Anchors``) only linkings whose
-    string positions unify are contracted. An unbalanced sequent is
-    reported as a ``CountMismatch`` without being unfolded."""
+    string positions unify are contracted. Without them, in ``parse``
+    mode, anchors are read off the hypothesis terms and ``expected`` when
+    that reading is exact (``Anchors.of_terms``): a bare ``prove``
+    sequent, whose fresh one-word terms are the tokens of the string the
+    comb must spell, is pruned like a parsed sentence. An unbalanced
+    sequent is reported as a ``CountMismatch`` without being unfolded."""
     result = ParseResult(tokens=[], goal=goal_formula)
     hypotheses = [f for _, f in hyp_pairs]
     mismatches = sequent_mismatches(hypotheses, goal_formula)
@@ -79,6 +87,8 @@ def run_sequent(hyp_pairs, goal_formula, sig, expected=None, mode="parse",
     frame = unfold(hypotheses, goal_formula, sig)
     terms = {h: t for h, (t, _) in zip(frame.hypotheses, hyp_pairs)}
     want = expected if mode == "parse" else None
+    if anchors is None and want is not None:
+        anchors = Anchors.of_terms(sig, hyp_pairs, goal_formula, want)
     stream = enumerate_linkings(frame, anchors)
     seen = []
     contracted = 0
@@ -135,16 +145,18 @@ def run_parse(grammar, tokens, goal=None, mode="parse", all_readings=False):
 def parse_sequent(text):
     """``x:np, y:np\\s |- x+y:s``; terms may be omitted (``np, np\\s |- s``),
     in which case hypotheses get fresh variables and the expected goal
-    term is their concatenation."""
+    term is their concatenation. The antecedent may be empty
+    (`` |- np/np``), but none of its comma-separated hypotheses may."""
     if "|-" not in text:
         raise ValueError("sequent needs |- between hypotheses and goal")
     left, _, right = text.partition("|-")
     hyp_pairs = []
     explicit = []
-    for part in left.split(","):
+    parts = left.split(",") if left.strip() else []
+    for n, part in enumerate(parts, 1):
         part = part.strip()
         if not part:
-            continue
+            raise ValueError(f"hypothesis {n} of {len(parts)} is empty")
         if ":" in part:
             t, _, f = part.partition(":")
             term = tm.parse_term(t.strip())

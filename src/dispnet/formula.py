@@ -20,6 +20,7 @@ rest of the system can read sorts as if they were stored on each node.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, fields
 
 from .terms import FIRST, LAST, Mode, at, parse_mode
@@ -281,7 +282,9 @@ def top_level_ok(f, sig: Signature) -> bool:
 # Mixed connectives must be parenthesized; only chains of a single /
 # (left-associative) or a single \ (right-associative) may omit parens.
 
-_IDENT = r"[A-Za-z_'][A-Za-z0-9_']*"
+_IDENT = re.compile(r"[A-Za-z_'][A-Za-z0-9_']*")
+_UNMODED = "".join(op for op in OPS.values() if op not in MODED)
+_MODE_START = frozenset("><0123456789")
 
 
 def _tokenize(text: str):
@@ -296,11 +299,13 @@ def _tokenize(text: str):
             tokens.append((c, c))
             i += 1
             continue
-        if c in "/\\*":
+        if c in _UNMODED:
             tokens.append(("op", c, None))
             i += 1
             continue
-        if c in "^!" or (c == "o" and i + 1 < n and text[i + 1] in "><0123456789"):
+        # a moded connective that is a letter (o) starts an atom name
+        # unless a mode follows it
+        if c in MODED and (not c.isalpha() or text[i + 1:i + 2] in _MODE_START):
             j = i + 1
             if j < n and text[j] in "><":
                 mode = parse_mode(text[j])
@@ -316,9 +321,7 @@ def _tokenize(text: str):
             tokens.append(("op", c, mode))
             i = j
             continue
-        import re as _re
-
-        m = _re.match(_IDENT, text[i:])
+        m = _IDENT.match(text, i)
         if not m:
             raise FormulaError(f"bad character {c!r} in formula {text!r}")
         tokens.append(("atom", m.group(0)))

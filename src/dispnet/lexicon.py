@@ -36,15 +36,7 @@ class LexEntry:
 
     def pieces(self):
         """Maximal word runs of the string term, split at separators."""
-        runs, run = [], []
-        for it in self.string.items:
-            if isinstance(it, tm.Separator):
-                runs.append(tuple(run))
-                run = []
-            else:
-                run.append(it)
-        runs.append(tuple(run))
-        return runs
+        return self.string.pieces()
 
     def __str__(self):
         return f"{self.headword} := {self.string} : {fm.format_formula(self.formula)}"

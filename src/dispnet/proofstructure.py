@@ -23,19 +23,21 @@ occurrences. Every formula ends up the premiss of at most one link and
 the conclusion of at most one link.
 
 Linkings are enumerated by a lazy backtracking search. When the sequent
-is anchored in a sentence (parsing), the search also follows the
-first-order translation of D (Moot 2014): a formula of sort k denotes
-k+1 string pieces, so each vertex carries 2k+2 position terms, the
-start and end of each piece. Hypotheses are anchored at the token spans
-of their lexical pieces, the goal at the whole sentence; each link
-passes positions down to its subformulas by the concatenation or wrap
-its connective stands for, with fresh eigen constants (par links) or
-meta variables (tensor links) at the junctions it leaves open. An
-axiom link unifies the positions of its two atoms. If two distinct
-constants would meet, no linking that contains it can spell the
-sentence, so the search skips every such linking without contracting
-it. For the Lambek connectives this is the span constraint of Fowler
-(2009).
+is anchored in a sentence, the search also follows the first-order
+translation of D (Moot 2014): a formula of sort k denotes k+1 string
+pieces, so each vertex carries 2k+2 position terms, the start and end
+of each piece. Hypotheses are anchored at the token spans of their
+pieces: those of a parse's lexical cover, or those of a proved
+sequent's string terms in the string its comb must spell, when that
+reading is exact (``Anchors.of_terms``). The goal is anchored at the
+whole sentence. Each link passes positions down to its subformulas by
+the concatenation or wrap its connective stands for, with fresh eigen
+constants (par links) or meta variables (tensor links) at the
+junctions it leaves open. An axiom link unifies the positions of its
+two atoms. If two distinct constants would meet, no linking that
+contains it can spell the sentence, so the search skips every such
+linking without contracting it. For the Lambek connectives this is the
+span constraint of Fowler (2009).
 
 A linking exists only if every atom has as many producers as consumers
 (van Benthem's count invariant). ``sequent_mismatches`` reads those
@@ -274,6 +276,38 @@ class Anchors:
     sig: object
     hypotheses: tuple
     goal: tuple
+
+    @classmethod
+    def of_terms(cls, sig, hyp_pairs, goal, expected) -> Anchors | None:
+        """The anchors of a sequent whose hypotheses ``hyp_pairs``
+        ((StringTerm, Formula) pairs) must spell ``expected`` under the
+        goal formula ``goal``, read as a sentence whose tokens are the
+        words of ``expected``. Returns None unless they are exact: the
+        goal and ``expected`` have sort 0, every word of ``expected``
+        occurs once there and once among the hypothesis terms, each term
+        has its formula's sort, and each piece of a term is a non-empty
+        run of consecutive words of ``expected``. Then every piece sits
+        at its one span, and the goal at the whole string."""
+        words = expected.words()
+        at = {w: i for i, w in enumerate(words)}
+        claimed = [w for term, _ in hyp_pairs for w in term.words()]
+        if (expected.sort or sig.sort_of(goal) or len(at) < len(words)
+                or len(claimed) != len(words) or set(claimed) != at.keys()):
+            return None
+        hypotheses = []
+        for term, formula in hyp_pairs:
+            if term.sort != sig.sort_of(formula):
+                return None
+            spans = []
+            for piece in term.pieces():
+                if not piece:
+                    return None
+                start = at[piece[0]]
+                if [at[w] - start for w in piece] != list(range(len(piece))):
+                    return None
+                spans.append((start, start + len(piece)))
+            hypotheses.append(tuple(spans))
+        return cls(sig, tuple(hypotheses), ((0, len(words)),))
 
 
 def _wrap(x, i, y):

@@ -112,6 +112,19 @@ class StringTerm:
     def words(self) -> list:
         return [it for it in self.items if not isinstance(it, Separator)]
 
+    def pieces(self) -> list:
+        """Maximal word runs of the term, split at separators: sort + 1
+        tuples, empty where a separator meets an end or another one."""
+        runs, run = [], []
+        for it in self.items:
+            if isinstance(it, Separator):
+                runs.append(tuple(run))
+                run = []
+            else:
+                run.append(it)
+        runs.append(tuple(run))
+        return runs
+
     def __str__(self):
         return format_term(self)
 

@@ -32,15 +32,18 @@ def proof_corpus():
     return corpus
 
 
-def prove_lambek(hyps, goal):
+def prove_lambek(hyps, goal, all_readings=False):
     """Decide the bare Lambek sequent ``hyps |- goal`` as ``dispnet prove``
     does: through ``cli.run_sequent``, with fresh hypothesis terms and
     their concatenation as the string the comb must spell. The sequent
     is derivable iff the result has a reading; an unbalanced one has
-    its ``CountMismatch`` in ``errors``."""
+    its ``CountMismatch`` in ``errors``. ``run_sequent`` reads anchors
+    off the fresh terms, so only linkings whose string positions unify
+    are contracted."""
     fresh = FreshVars("x")
     hyp_pairs = [(fresh.term(0), f) for f in hyps]
     expected = EMPTY
     for term, _ in hyp_pairs:
         expected = concat(expected, term)
-    return cli.run_sequent(hyp_pairs, goal, LAMBEK_SIG, expected)
+    return cli.run_sequent(hyp_pairs, goal, LAMBEK_SIG, expected,
+                           all_readings=all_readings)

@@ -9,9 +9,13 @@ import pytest
 
 from dispnet import cli
 from dispnet.contraction import is_proof_net
-from dispnet.formula import Atom, Signature
+from dispnet.formula import Atom, Over, Prod, Signature, Under
 from dispnet.lexicon import load_grammar
+from dispnet.nd import nd_to_sexpr
+from dispnet.proofstructure import sequent_mismatches
 from dispnet.terms import SEP, StringTerm
+
+from conftest import prove_lambek
 
 RING_UP = """\
 np 0
@@ -259,6 +263,121 @@ def test_prove_net_mode_ignores_order(sig_file, capsys):
         capsys,
     )
     assert code == 0
+
+
+@pytest.mark.parametrize("sequent, message", [
+    ("np, , np |- np", "hypothesis 2 of 3 is empty"),
+    ("np, |- np", "hypothesis 2 of 2 is empty"),
+    (", x:np |- x:np", "hypothesis 1 of 2 is empty"),
+], ids=["middle", "trailing", "leading"])
+def test_empty_hypothesis_is_input_error(sequent, message, sig_file, capsys):
+    code, out, err = run(["prove", sig_file, sequent], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_empty_antecedent_is_a_sequent(sig_file, capsys):
+    code, out, err = run(["prove", sig_file, " |- np"], capsys)
+    assert code == 1 and err == ""
+    assert "error: atom count mismatch: np: 0 producer(s) vs 1 consumer(s)" in out
+    code, out, _ = run(["prove", sig_file, "|- np/np"], capsys)
+    assert code == 0
+    assert "comb: 0 : np/np" in out
+
+
+def nested(depth):
+    f = "np"
+    for _ in range(depth):
+        f = f"np/({f})"
+    return f
+
+
+@pytest.mark.parametrize("sequent, linkings", [
+    ("np, (np\\s)/s, " * 4 + "np, np\\s |- s", 14400),
+    (f"{nested(7)} |- {nested(7)}", 40320),
+], ids=["thinks-chain", "nested-identity"])
+def test_prove_contracts_only_anchored_linkings(sequent, linkings, sig_file, capsys):
+    # the fresh hypothesis terms are the tokens of the string the comb
+    # must spell, so linkings whose positions clash are never contracted;
+    # the indexes still count the full stream
+    code, out, _ = run(["prove", sig_file, sequent, "--all", "--json"], capsys)
+    assert code == 0
+    stats = json.loads(out)["stats"]
+    assert stats["readings"] == 1 and stats["linkings"] == linkings
+    assert stats["linkings"] - stats["pruned"] == stats["nets"]
+
+
+REPEATED_WORD = "a:np, t:(np\\s)/s, a:np, w:np\\s |- a+t+a+w:s"
+REPEATED_WORD_OUT = """\
+goal: s
+reading 1 (linking 1):
+  comb: a+t+a+w : s
+  proof: (under_e (hyp 0 "a" "np") (over_e (hyp 1 "t" "(np\\s)/s") \
+(under_e (hyp 6 "a" "np") (hyp 7 "w" "np\\s"))))
+reading 2 (linking 3):
+  comb: a+t+a+w : s
+  proof: (under_e (hyp 6 "a" "np") (over_e (hyp 1 "t" "(np\\s)/s") \
+(under_e (hyp 0 "a" "np") (hyp 7 "w" "np\\s"))))
+stats: linkings=4 nets=2 readings=2
+"""
+EMPTY_PIECE = "1+up:(np\\s)^>np, m:np, e:np |- m+e+up:s"
+EMPTY_PIECE_OUT = """\
+goal: s
+reading 1 (linking 1):
+  comb: m+e+up : s
+  proof: (under_e (hyp 5 "m" "np") (up_e > (hyp 0 "1+up" "(np\\s)^>np") \
+(hyp 6 "e" "np")))
+stats: linkings=2 nets=2 readings=1
+"""
+
+
+@pytest.mark.parametrize("sequent, expected", [
+    (REPEATED_WORD, REPEATED_WORD_OUT),
+    (EMPTY_PIECE, EMPTY_PIECE_OUT),
+], ids=["repeated-word", "empty-piece"])
+def test_prove_without_exact_anchors_contracts_every_linking(
+        sequent, expected, sig_file, capsys):
+    code, out, _ = run(["prove", sig_file, sequent, "--all"], capsys)
+    assert code == 0
+    assert out == expected
+    code, out, _ = run(["prove", sig_file, sequent, "--all", "--json"], capsys)
+    assert json.loads(out)["stats"]["pruned"] == 0
+
+
+def random_lambek_formula(rng, conn):
+    if conn == 0:
+        return Atom(rng.choice(("np", "s")))
+    left = rng.randint(0, conn - 1)
+    a = random_lambek_formula(rng, left)
+    b = random_lambek_formula(rng, conn - 1 - left)
+    return rng.choice((Over, Under, Prod))(a, b)
+
+
+def test_derived_anchors_keep_readings_and_indexes(monkeypatch):
+    rng = random.Random(11)
+    sequents = []
+    while len(sequents) < 300:
+        hyps = [random_lambek_formula(rng, rng.randint(0, 3))
+                for _ in range(rng.randint(1, 4))]
+        goal = random_lambek_formula(rng, rng.randint(0, 3))
+        if not sequent_mismatches(hyps, goal):
+            sequents.append((hyps, goal))
+
+    def decide():
+        out = []
+        for hyps, goal in sequents:
+            r = prove_lambek(hyps, goal, all_readings=True)
+            readings = [(nd_to_sexpr(x.proof), x.linking_index) for x in r.readings]
+            out.append((readings, r.linkings_tried, r.pruned))
+        return out
+
+    anchored = decide()
+    monkeypatch.setattr(cli.Anchors, "of_terms", classmethod(lambda cls, *a: None))
+    plain = decide()
+    assert [a[:2] for a in anchored] == [p[:2] for p in plain]
+    assert sum(1 for readings, *_ in plain if readings) > 20
+    assert sum(p for *_, p in plain) == 0 < sum(p for *_, p in anchored)
 
 
 NP_S_MISMATCH = ("np: 1 producer(s) vs 0 consumer(s), "

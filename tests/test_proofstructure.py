@@ -27,7 +27,7 @@ from dispnet.proofstructure import (
     sequent_mismatches,
     unfold,
 )
-from dispnet.terms import SEP
+from dispnet.terms import parse_term
 
 SIG = Signature({"np": 0, "n": 0, "s": 0, "inf": 1})
 
@@ -328,7 +328,7 @@ def test_first_linking_is_lazy():
     assert peak < 5 * 2 ** 20
 
 
-RING_UP_ANCHORS = Anchors(SIG, [((0, 1),), ((1, 2), (3, 4)), ((2, 3),)],
+RING_UP_ANCHORS = Anchors(SIG, (((0, 1),), ((1, 2), (3, 4)), ((2, 3),)),
                           ((0, 4),))
 
 
@@ -357,16 +357,6 @@ def test_anchored_stream_keeps_full_stream_indexes():
         assert full[ps.index].linking == ps.linking
 
 
-def pieces(term):
-    out = [[]]
-    for it in term.items:
-        if it == SEP:
-            out.append([])
-        else:
-            out[-1].append(it)
-    return out
-
-
 def anchors_of(proof):
     """Anchors read off a proof's conclusion term: each open hypothesis
     word occurs once in it, and every piece of a hypothesis is a run of
@@ -376,16 +366,16 @@ def anchors_of(proof):
     hyps = []
     for h in leaves:
         spans = []
-        for piece in pieces(h.term):
+        for piece in h.term.pieces():
             start = at[piece[0]]
             assert [at[w] for w in piece] == list(range(start, start + len(piece)))
             spans.append((start, start + len(piece)))
         hyps.append(tuple(spans))
     goal, k = [], 0
-    for piece in pieces(proof.term):
+    for piece in proof.term.pieces():
         goal.append((k, k + len(piece)))
         k += len(piece)
-    return leaves, Anchors(CORPUS_SIG, hyps, tuple(goal))
+    return leaves, Anchors(CORPUS_SIG, tuple(hyps), tuple(goal))
 
 
 def test_pruning_keeps_every_net_on_corpus(proof_corpus):
@@ -403,3 +393,56 @@ def test_pruning_keeps_every_net_on_corpus(proof_corpus):
                 == {l for l, net in is_net.items() if net}), str(proof.term)
         checked += 1
     assert checked > 200
+
+
+def test_derived_anchors_keep_every_net_on_corpus(proof_corpus):
+    # the anchors ``run_sequent`` reads off a sequent's terms when no
+    # cover gives them: for a sort-0 conclusion with distinct words they
+    # are the proof's own, and every net keeps its place in the stream
+    checked = 0
+    for proof, *_ in proof_corpus:
+        words = proof.term.words()
+        if proof.term.sort or len(set(words)) < len(words):
+            continue
+        leaves = open_leaves_in_order(proof)
+        anchors = Anchors.of_terms(CORPUS_SIG, [(h.term, h.formula) for h in leaves],
+                                   proof.formula, proof.term)
+        assert anchors == anchors_of(proof)[1], str(proof.term)
+        frame = unfold([h.formula for h in leaves], proof.formula, CORPUS_SIG)
+        if linking_count(frame) > 200:
+            continue
+        terms = {v: h.term for v, h in zip(frame.hypotheses, leaves)}
+        nets = {ps.linking: ps.index for ps in enumerate_linkings(frame)
+                if is_proof_net(ps, terms, CORPUS_SIG, proof.term).is_net}
+        kept = {ps.linking: ps.index for ps in enumerate_linkings(frame, anchors)}
+        assert nets.items() <= kept.items(), str(proof.term)
+        checked += 1
+    assert checked > 100
+
+
+@pytest.mark.parametrize("hyps, expected", [
+    (["x", "y"], "x+y+z"),         # a word no hypothesis has
+    (["x", "x"], "x+x"),           # a repeated word
+    (["x", "y+x"], "x+y"),         # a word claimed twice
+    (["y+x", "z"], "x+y+z"),       # a piece out of order
+    (["0", "x"], "x"),             # an empty term
+], ids=["unclaimed", "repeated", "claimed-twice", "out-of-order", "empty"])
+def test_of_terms_falls_back_unless_exact(hyps, expected):
+    pairs = [(parse_term(t), Atom("np")) for t in hyps]
+    assert Anchors.of_terms(SIG, pairs, GOAL_S, parse_term(expected)) is None
+
+
+def test_of_terms_reads_ring_up_anchors():
+    up = parse_formula("(np\\s)^>np")
+    pairs = [(parse_term("m"), Atom("np")), (parse_term("r+1+up"), up),
+             (parse_term("e"), Atom("np"))]
+    anchors = Anchors.of_terms(SIG, pairs, GOAL_S, parse_term("m+r+e+up"))
+    assert anchors == RING_UP_ANCHORS
+    # the same sequent with an empty piece, a mismatched sort, a sort-1
+    # expected term or a sort-1 goal has no exact anchors
+    empty = [pairs[0], (parse_term("1+up"), up), pairs[2]]
+    assert Anchors.of_terms(SIG, empty, GOAL_S, parse_term("m+e+up")) is None
+    flat = [pairs[0], (parse_term("r+up"), up), pairs[2]]
+    assert Anchors.of_terms(SIG, flat, GOAL_S, parse_term("m+r+e+up")) is None
+    assert Anchors.of_terms(SIG, pairs, GOAL_S, parse_term("m+r+1+e+up")) is None
+    assert Anchors.of_terms(SIG, pairs, Atom("inf"), parse_term("m+r+e+up")) is None
