@@ -295,36 +295,42 @@ class APS:
 
 def to_aps(ps: "pstruct.ProofStructure", hyp_terms: dict, sig) -> APS:
     """Convert a proof structure (plus hypothesis string terms, keyed by
-    hypothesis vertex id) to its abstract proof structure."""
+    hypothesis vertex id) to its abstract proof structure.
+
+    The structure's frame is read through its linking: a linked consumer
+    vertex gets no point, and link premisses and the goal, the only
+    places a consumer occurs, name its producer's point instead."""
+    frame, find = ps.frame, ps.find
     aps = APS()
-    for vid in sorted(ps.vertices):
-        aps.add_point(vid, sig.sort_of(ps.vertices[vid].formula))
-    aps._next = max(ps.vertices, default=-1) + 1
+    for vid in sorted(frame.vertices):
+        if vid not in ps.producer_of:
+            aps.add_point(vid, sig.sort_of(frame.vertices[vid].formula))
+    aps._next = max(aps.points, default=-1) + 1
     aps.conclusion = ps.goal
 
-    for h in ps.hypotheses:
+    for h in frame.hypotheses:
         term = hyp_terms[h]
-        fsort = sig.sort_of(ps.vertices[h].formula)
+        formula = frame.vertices[h].formula
+        fsort = sig.sort_of(formula)
         if term.sort != fsort:
             raise SortMismatch(
                 f"hypothesis v{h}: term {term} has sort {term.sort}, formula "
-                f"{fm.format_formula(ps.vertices[h].formula)} has sort {fsort}"
+                f"{fm.format_formula(formula)} has sort {fsort}"
             )
         aps.add_comb(list(term.items), h)
 
     pending_aux = []
-    for idx, link in enumerate(ps.links):
+    for idx, link in enumerate(frame.links):
         op = link.tag[1]
+        premisses = [find(v) for v in link.premisses]
         if link.kind == "par":
-            par = aps.add_par(op, link.mode, link.premisses[0], link.main, idx)
+            par = aps.add_par(op, link.mode, premisses[0], link.main, idx)
             pending_aux.append(
                 (par, [v for v in link.conclusions if v != link.main]))
         elif op in fm.MODED:
-            aps.add_cross(link.mode, link.premisses[0], link.premisses[1],
-                          link.conclusions[0], idx)
+            aps.add_cross(link.mode, *premisses, link.conclusions[0], idx)
         else:
-            aps.add_comb([Pt(link.premisses[0]), Pt(link.premisses[1])],
-                         link.conclusions[0])
+            aps.add_comb([Pt(v) for v in premisses], link.conclusions[0])
 
     for par, aux in pending_aux:
         for a in aux:

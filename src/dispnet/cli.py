@@ -176,19 +176,22 @@ def parse_sequent(text):
     return hyp_pairs, goal, goal_term, all(explicit) if hyp_pairs else True
 
 
-def _fill_terms(hyp_pairs, sig):
-    fresh = tm.FreshVars("x")
-    out = []
-    for term, f in hyp_pairs:
-        if term is None:
-            term = fresh.term(sig.sort_of(f))
-        elif term.sort != sig.sort_of(f):
+def _fill_terms(hyp_pairs, goal_term, goal, sig):
+    """Check each stated term's sort against its formula, the goal's
+    last, and give each hypothesis without a term a fresh one, named
+    apart from the words of the stated terms."""
+    stated = [(t, f, "hypothesis") for t, f in hyp_pairs if t is not None]
+    if goal_term is not None:
+        stated.append((goal_term, goal, "goal"))
+    for term, f, what in stated:
+        if term.sort != sig.sort_of(f):
             raise ValueError(
-                f"hypothesis {term} has sort {term.sort}, formula "
+                f"{what} {term} has sort {term.sort}, formula "
                 f"{fm.format_formula(f)} needs {sig.sort_of(f)}"
             )
-        out.append((term, f))
-    return out
+    fresh = nd.fresh_beyond([t for t, _, _ in stated], "x")
+    return [(t if t is not None else fresh.term(sig.sort_of(f)), f)
+            for t, f in hyp_pairs]
 
 
 # -- reporting -------------------------------------------------------------
@@ -308,7 +311,7 @@ def cmd_prove(args) -> int:
         bad = fm.well_sorted(goal, sig)
         if bad:
             raise ValueError("; ".join(bad))
-        hyp_pairs = _fill_terms(hyp_pairs, sig)
+        hyp_pairs = _fill_terms(hyp_pairs, goal_term, goal, sig)
     except (OSError, ValueError, RecursionError) as exc:
         return _input_error(exc)
     if goal_term is None and not explicit:

@@ -150,19 +150,15 @@ class Signature:
             if f.name not in self.sorts:
                 raise IllSorted(f"atom {f.name} not in signature")
             return self.sorts[f.name]
-        if isinstance(f, Prod):
-            return self.sort_of(f.left) + self.sort_of(f.right)
-        if isinstance(f, Under):
-            return self.sort_of(f.result) - self.sort_of(f.arg)
-        if isinstance(f, Over):
-            return self.sort_of(f.result) - self.sort_of(f.arg)
-        if isinstance(f, Wrap):
-            return self.sort_of(f.left) + self.sort_of(f.right) - 1
-        if isinstance(f, Down):
-            return self.sort_of(f.result) + 1 - self.sort_of(f.arg)
-        if isinstance(f, Up):
-            return self.sort_of(f.result) + 1 - self.sort_of(f.arg)
-        raise FormulaError(f"not a formula: {f!r}")
+        op = OPS.get(type(f))
+        if op is None:
+            raise FormulaError(f"not a formula: {f!r}")
+        # an implication's sort is result - argument, a product's the sum;
+        # a wrap connective consumes (^, !) or introduces (o) a separator
+        moded = op in MODED
+        if "result" in OPERANDS[type(f)]:
+            return self.sort_of(f.result) - self.sort_of(f.arg) + moded
+        return self.sort_of(f.left) + self.sort_of(f.right) - moded
 
     @classmethod
     def parse(cls, text: str) -> "Signature":
@@ -195,12 +191,6 @@ def well_sorted(f, sig: Signature) -> list:
     once."""
     violations = []
 
-    def srt(g):
-        try:
-            return sig.sort_of(g)
-        except IllSorted:
-            return None
-
     def visit(g):
         if isinstance(g, Atom):
             if g.name not in sig:
@@ -208,34 +198,8 @@ def well_sorted(f, sig: Signature) -> list:
             return
         for child in _children(g):
             visit(child)
-        if isinstance(g, (Under, Over)):
-            if srt(g) is None:
-                violations.append(
-                    f"{format_formula(g)}: result sort smaller than argument sort"
-                )
-        elif isinstance(g, (Down, Wrap)):
-            a = g.arg if isinstance(g, Down) else g.left
-            sa = srt(a)
-            if sa is not None and sa < 1:
-                violations.append(f"{format_formula(g)}: circumfix argument has sort 0")
-            elif sa is not None and g.mode.kind == "@" and g.mode.index > sa:
-                violations.append(
-                    f"{format_formula(g)}: mode {g.mode} exceeds circumfix sort {sa}"
-                )
-            if srt(g) is None:
-                violations.append(f"{format_formula(g)}: negative sort")
-        elif isinstance(g, Up):
-            sc, sb = srt(g.result), srt(g.arg)
-            if sc is not None and sb is not None and sc < sb:
-                violations.append(
-                    f"{format_formula(g)}: result sort {sc} below argument sort {sb}"
-                )
-            elif g.mode.kind == "@":
-                s = srt(g)
-                if s is not None and g.mode.index > s:
-                    violations.append(
-                        f"{format_formula(g)}: mode {g.mode} exceeds sort {s}"
-                    )
+        for v in _outer_violations(g, sig):
+            violations.append(f"{format_formula(g)}: {v}")
 
     visit(f)
     return violations
@@ -249,27 +213,52 @@ def _children(f):
     return (f.left, f.right)
 
 
+def _sort_or_none(f, sig: Signature):
+    try:
+        return sig.sort_of(f)
+    except IllSorted:
+        return None
+
+
+def _outer_violations(g, sig: Signature) -> list:
+    """The side conditions of the outermost connective of the compound
+    formula g that g breaks, each worded to follow ``g:``. An
+    implication's result sort must reach its argument's; a ! or o needs
+    a circumfix (its first operand) with a separator; a numeric mode
+    must address an existing separator, of the circumfix for ! and o, of
+    the formula itself for ^."""
+    op = OPS[type(g)]
+    if op == "^":
+        sc, sb = _sort_or_none(g.result, sig), _sort_or_none(g.arg, sig)
+        if sc is not None and sb is not None and sc < sb:
+            return [f"result sort {sc} below argument sort {sb}"]
+        if g.mode.kind == "@":
+            s = _sort_or_none(g, sig)
+            if s is not None and g.mode.index > s:
+                return [f"mode {g.mode} exceeds sort {s}"]
+        return []
+    if op in MODED:
+        out = []
+        sa = _sort_or_none(getattr(g, OPERANDS[type(g)][0]), sig)
+        if sa is not None and sa < 1:
+            out.append("circumfix argument has sort 0")
+        elif sa is not None and g.mode.kind == "@" and g.mode.index > sa:
+            out.append(f"mode {g.mode} exceeds circumfix sort {sa}")
+        if _sort_or_none(g, sig) is None:
+            out.append("negative sort")
+        return out
+    if "result" in OPERANDS[type(g)] and _sort_or_none(g, sig) is None:
+        return ["result sort smaller than argument sort"]
+    return []
+
+
 def top_level_ok(f, sig: Signature) -> bool:
     """Side conditions of the outermost connective only; assumes the
     immediate subformulas are already well-sorted. Cheap enough for the
     inner loops of the random generators."""
-    try:
-        s = sig.sort_of(f)
-    except IllSorted:
+    if _sort_or_none(f, sig) is None:
         return False
-    if isinstance(f, (Down, Wrap)):
-        a = f.arg if isinstance(f, Down) else f.left
-        sa = sig.sort_of(a)
-        if sa < 1:
-            return False
-        if f.mode.kind == "@" and f.mode.index > sa:
-            return False
-    elif isinstance(f, Up):
-        if sig.sort_of(f.result) < sig.sort_of(f.arg):
-            return False
-        if f.mode.kind == "@" and f.mode.index > s:
-            return False
-    return True
+    return isinstance(f, Atom) or not _outer_violations(f, sig)
 
 
 # --- concrete syntax ---------------------------------------------------

@@ -40,7 +40,7 @@ from typing import Callable, NamedTuple
 from . import formula as fm
 from .aps import to_aps
 from .contraction import NetVerdict, contract
-from .proofstructure import ProofStructure, Vertex, make_link
+from .proofstructure import ProofFrame, ProofStructure, Vertex, make_link
 from .terms import (
     SEP,
     FreshVars,
@@ -438,7 +438,7 @@ def net_of_nd(p, sig):
     goal = build(p)
     leaves = open_leaves_in_order(p)
     hyp_ids = [hyp_vertex[h.label] for h in leaves]
-    ps = ProofStructure(vertices, links, hyp_ids, goal)
+    ps = ProofStructure(ProofFrame(vertices, links, hyp_ids, goal))
     terms = {hyp_vertex[h.label]: h.term for h in leaves}
     aps = to_aps(ps, terms, sig)
     trace = contract(aps.clone())
@@ -479,30 +479,31 @@ def extract_nd(verdict: NetVerdict, sig) -> "Proof":
     if not verdict.is_net and verdict.kind != "string_mismatch":
         raise ExtractionError("extract_nd needs a contractible structure")
     ps = verdict.ps
+    frame, find = ps.frame, ps.find
     fresh = fresh_beyond(verdict.hyp_terms.values())
-    concluded_by = {v: link for link in ps.links for v in link.conclusions}
+    concluded_by = {v: link for link in frame.links for v in link.conclusions}
     eliminations = {}  # vertex -> product-style par links, in trace order
     for step in verdict.trace.steps:
         if step.rule[0] in "*o":
-            eliminations.setdefault(step.concl, []).append(ps.links[step.source])
+            eliminations.setdefault(step.concl, []).append(frame.links[step.source])
 
     def build(v):
-        formula = ps.vertices[v].formula
+        formula = frame.vertices[v].formula
         link = concluded_by.get(v)
         if link is None:
             proof = Hyp(v, verdict.hyp_terms[v], formula)
         elif link.kind == "tensor":
             proof = apply_rule(_rule(link), link.mode, (),
-                               [build(u) for u in link.premisses])
+                               [build(find(u)) for u in link.premisses])
         elif link.main == v:
             aux = tuple(u for u in link.conclusions if u != v)
             proof = apply_rule(_rule(link), link.mode, aux,
-                               [build(link.premisses[0])])
+                               [build(find(link.premisses[0]))])
         else:
             proof = Hyp(v, fresh.term(sig.sort_of(formula)), formula)
         for par in eliminations.get(v, ()):
             proof = apply_rule(_rule(par), par.mode, par.conclusions,
-                               [build(par.premisses[0]), proof])
+                               [build(find(par.premisses[0])), proof])
         return proof
 
     try:

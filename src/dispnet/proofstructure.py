@@ -17,10 +17,14 @@ L+op link is the rule op+E and an R+op link the rule op+I.
 
 Par links carry an arrow to their main formula, the compound. Unfolding
 bottoms out in atoms; positive atoms produce material, negative atoms
-consume it. A proof structure arises from a frame by choosing an axiom
+consume it. A proof structure is a frame together with an axiom
 linking: a bijection, per atom name, between producer and consumer
-occurrences. Every formula ends up the premiss of at most one link and
-the conclusion of at most one link.
+occurrences. It identifies each consumer with its producer, so every
+formula ends up the premiss of at most one link and the conclusion of
+at most one link. A consumer atom is only ever a link premiss or the
+goal, never a conclusion or a par link's main formula, so a structure
+is read off its frame by passing premisses and the goal through the
+linking (``ProofStructure.find``); nothing is copied per linking.
 
 Linkings are enumerated by a lazy backtracking search. When the sequent
 is anchored in a sentence, the search also follows the first-order
@@ -48,7 +52,7 @@ is unfolded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import formula as fm
 from .terms import Mode
@@ -160,24 +164,32 @@ class ProofFrame:
     consumers: dict = field(default_factory=dict)
 
     def dump(self) -> str:
-        lines = [link.fmt() for link in self.links]
-        return "\n".join(lines)
-
-
-@dataclass
-class ProofStructure:
-    vertices: dict
-    links: list
-    hypotheses: list
-    goal: int
-    linking: tuple = ()  # (producer vid, consumer vid) pairs
-    index: int = 0       # place of the linking in the frame's full stream
-
-    def dump(self) -> str:
         return "\n".join(link.fmt() for link in self.links)
 
     def par_links(self):
         return [l for l in self.links if l.kind == "par"]
+
+
+@dataclass
+class ProofStructure:
+    """A proof frame under an axiom linking. The frame is shared by
+    every linking of its stream and never changed: ``find`` maps a
+    linked consumer vertex to its producer and every other vertex to
+    itself, and readers pass link premisses and the goal through it.
+    A structure with the empty linking is its frame as it stands, as
+    ``nd.net_of_nd`` builds it."""
+
+    frame: ProofFrame
+    linking: tuple = ()  # (producer vid, consumer vid) pairs
+    index: int = 0       # place of the linking in the frame's full stream
+    producer_of: dict = field(default_factory=dict)  # consumer -> producer
+
+    def find(self, vid):
+        return self.producer_of.get(vid, vid)
+
+    @property
+    def goal(self):
+        return self.find(self.frame.goal)
 
 
 def unfold(hypotheses, goal, sig) -> ProofFrame:
@@ -488,28 +500,11 @@ def enumerate_linkings(frame: ProofFrame, anchors: Anchors | None = None):
 
 
 def realize(frame: ProofFrame, linking, index=0) -> ProofStructure:
-    """Merge each linked consumer vertex into its producer vertex."""
-    remap = {consumer: producer for producer, consumer in linking}
-    vertices = {
-        vid: v for vid, v in frame.vertices.items() if vid not in remap
-    }
-
-    def m(vid):
-        return remap.get(vid, vid)
-
-    links = [
-        replace(
-            link,
-            premisses=tuple(m(v) for v in link.premisses),
-            conclusions=tuple(m(v) for v in link.conclusions),
-            main=m(link.main) if link.main is not None else None,
-        )
-        for link in frame.links
-    ]
-    return ProofStructure(
-        vertices, links, list(frame.hypotheses), m(frame.goal), tuple(linking),
-        index,
-    )
+    """The proof structure of ``frame`` under ``linking``, the
+    ``index``-th of its stream. Only the consumer-to-producer map is
+    built; links and vertices stay the frame's."""
+    return ProofStructure(frame, linking, index,
+                          {consumer: producer for producer, consumer in linking})
 
 
 def check_structure(ps: ProofStructure) -> list:
@@ -518,18 +513,18 @@ def check_structure(ps: ProofStructure) -> list:
     violations = []
     seen_premiss = {}
     seen_conclusion = {}
-    for i, link in enumerate(ps.links):
-        for v in link.premisses:
+    for i, link in enumerate(ps.frame.links):
+        for v in map(ps.find, link.premisses):
             if v in seen_premiss:
                 violations.append(f"vertex {v} premiss of links {seen_premiss[v]} and {i}")
             seen_premiss[v] = i
-        for v in link.conclusions:
+        for v in map(ps.find, link.conclusions):
             if v in seen_conclusion:
                 violations.append(
                     f"vertex {v} conclusion of links {seen_conclusion[v]} and {i}"
                 )
             seen_conclusion[v] = i
-    for h in ps.hypotheses:
+    for h in ps.frame.hypotheses:
         if h in seen_conclusion:
             violations.append(f"hypothesis {h} is the conclusion of a link")
     if ps.goal in seen_premiss:

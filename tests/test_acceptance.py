@@ -256,7 +256,7 @@ def test_criterion_6_round_trip(proof_corpus):
         assert not bad, f"corpus {i}: {bad}"
         assert q.term == p.term and q.formula == p.formula
         got = {h.label: (h.term, h.formula) for h in open_leaves_in_order(q)}
-        want = {v: (terms[v], ps.vertices[v].formula) for v in ps.hypotheses}
+        want = {v: (terms[v], ps.frame.vertices[v].formula) for v in ps.frame.hypotheses}
         assert got == want, f"corpus {i}: sequent hypotheses differ"
     report(6, f"{len(proof_corpus)} proofs: net contracts to the conclusion "
               f"comb and extraction re-derives the identical sequent (100%)")

@@ -30,7 +30,7 @@ def test_ring_up_aps_shape():
         a = to_aps(ps, terms, SIG)
         # one par link survives, both cross links survive, the one
         # plus-tensor became a comb
-        assert len(a.pars) == len(ps.par_links()) == 1
+        assert len(a.pars) == len(ps.frame.par_links()) == 1
         assert len(a.crosses) == 2
         # combs: three lexical + one from the plus link + one tether
         assert len(a.combs) == 5
@@ -57,7 +57,7 @@ def test_ring_up_lexical_comb_rows():
 def test_axiom_aps_is_single_comb():
     frame = unfold([Atom("big2")], Atom("big2"), SIG)
     ps = next(enumerate_linkings(frame))
-    a = to_aps(ps, {ps.hypotheses[0]: parse_term("p+1+q+1+r")}, SIG)
+    a = to_aps(ps, {ps.frame.hypotheses[0]: parse_term("p+1+q+1+r")}, SIG)
     assert a.is_single_comb()
     assert str(a.final_term()) == "p+1+q+1+r"
 
@@ -66,7 +66,7 @@ def test_sort_mismatch_rejected():
     frame = unfold([Atom("np")], Atom("np"), SIG)
     ps = next(enumerate_linkings(frame))
     with pytest.raises(SortMismatch):
-        to_aps(ps, {ps.hypotheses[0]: parse_term("a+1+b")}, SIG)
+        to_aps(ps, {ps.frame.hypotheses[0]: parse_term("a+1+b")}, SIG)
 
 
 def test_tether_group_sizes_match_sorts():
@@ -74,7 +74,7 @@ def test_tether_group_sizes_match_sorts():
     frame = unfold([Atom("s")], parse_formula("big2!>(big2 o> s)"), SIG)
     # goal sort: s(big2 o> s) + 1 - s(big2) = (2+0-1) + 1 - 2 = 0
     ps = next(enumerate_linkings(frame))
-    a = to_aps(ps, {ps.hypotheses[0]: parse_term("x")}, SIG)
+    a = to_aps(ps, {ps.frame.hypotheses[0]: parse_term("x")}, SIG)
     sizes = sorted(len(g) for p in a.pars.values() for g in p.groups)
     assert sizes == [3]
 

@@ -199,7 +199,7 @@ def test_reading_hypotheses_sit_at_their_cover_spans(sentence):
     expected = StringTerm(tuple(f"t{k}" for k in range(len(tokens))))
     for r in result.readings:
         terms = {}
-        for h, m in zip(r.verdict.ps.hypotheses, r.cover):
+        for h, m in zip(r.verdict.ps.frame.hypotheses, r.cover):
             at = iter(t for start, end in m.spans for t in range(start, end))
             terms[h] = StringTerm(tuple(
                 it if it == SEP else f"t{next(at)}" for it in m.entry.string.items))
@@ -220,6 +220,31 @@ def test_prove_sort_mismatch_is_input_error(sig_file, capsys):
     )
     assert code == 2
     assert "sort" in err
+
+
+def test_prove_goal_sort_mismatch_is_input_error(sig_file, capsys):
+    code, out, err = run(["prove", sig_file, "x:np, y:np\\s |- x+1+y:s"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: goal x+1+y has sort 1, formula s needs 0\n"
+
+
+@pytest.mark.parametrize("sequent", [
+    "x0:np\\s, np |- s",
+    "x:np, np\\s |- x+x0:s",
+], ids=["hypothesis-word", "goal-word"])
+def test_fresh_terms_avoid_stated_words(sequent, sig_file, capsys):
+    """A hypothesis stated without a term gets a word of its own, so it
+    cannot stand in for a word of a stated term."""
+    code, out, _ = run(["prove", sig_file, sequent], capsys)
+    assert code == 1
+    assert "readings=0" in out
+
+
+def test_fresh_terms_skip_past_stated_words(sig_file, capsys):
+    code, out, _ = run(["prove", sig_file, "x1:np, np\\s |- s"], capsys)
+    assert code == 0
+    assert "comb: x1+x2 : s" in out
 
 
 def test_prove_discontinuous_verb(sig_file, capsys):

@@ -71,7 +71,7 @@ def test_final_comb_sort_matches_goal():
         [("a+1+b+1+c", "k2"), ("g", "k2!2j")], "j", "a+1+b+g+c"
     )
     win = next(v for v in verdicts if v.is_net)
-    assert win.comb_term.sort == SIG.sort_of(win.ps.vertices[win.ps.goal].formula) == 1
+    assert win.comb_term.sort == SIG.sort_of(win.ps.frame.vertices[win.ps.goal].formula) == 1
 
 
 def test_ring_up_losers():
@@ -111,7 +111,7 @@ def test_axiom_empty_trace():
 def test_lone_comb_has_no_redex():
     frame = unfold([Atom("np")], Atom("np"), SIG)
     ps = next(enumerate_linkings(frame))
-    a = to_aps(ps, {ps.hypotheses[0]: parse_term("x")}, SIG)
+    a = to_aps(ps, {ps.frame.hypotheses[0]: parse_term("x")}, SIG)
     assert iter_redexes(a)[0] == []
 
 

@@ -100,7 +100,7 @@ def test_net_of_nd_ring_up():
     assert trace.contracted
     assert str(aps.clone().final_term() if aps.is_single_comb() else "") == ""
     # one par link per ^I; final comb carries the conclusion string
-    assert len(ps.par_links()) == 1
+    assert len(ps.frame.par_links()) == 1
     assert trace.logical_rules() == ["^>"]
     last_rows = trace.steps[-1].row
     assert "mary rang everyone up" in last_rows
@@ -109,7 +109,7 @@ def test_net_of_nd_ring_up():
 def test_net_of_nd_axiom():
     p = hyp(0, T("x+1+y"), F("j"))
     ps, terms, aps, trace = net_of_nd(p, SIG)
-    assert ps.links == []
+    assert ps.frame.links == []
     assert trace.steps == []
     assert aps.is_single_comb()
     assert str(aps.final_term()) == "x+1+y"
@@ -162,9 +162,9 @@ def test_net_layout_covers_every_rule():
 @pytest.mark.parametrize("text, dump, formulas", NET_LAYOUT)
 def test_net_of_nd_layout(text, dump, formulas):
     ps = net_of_nd(nd_from_sexpr(text), SIG)[0]
-    assert ps.dump().splitlines() == dump
+    assert ps.frame.dump().splitlines() == dump
     assert [F(f) for f in formulas] == [
-        ps.vertices[v].formula for v in sorted(ps.vertices)]
+        ps.frame.vertices[v].formula for v in sorted(ps.frame.vertices)]
 
 
 def test_extract_ring_up():
@@ -176,7 +176,7 @@ def test_extract_ring_up():
     assert check_nd(q, SIG) == []
     assert q.term == p.term
     assert q.formula == p.formula
-    assert [h.label for h in open_leaves_in_order(q)] == ps.hypotheses
+    assert [h.label for h in open_leaves_in_order(q)] == ps.frame.hypotheses
 
 
 def assert_round_trip(p, sig):
@@ -190,7 +190,7 @@ def assert_round_trip(p, sig):
         1 for node in walk(p)
         if isinstance(node, nd.Rule) and node.name in ("\\I", "/I", "^I", "!I", "*E", "oE")
     )
-    assert len(ps.par_links()) == par_rules
+    assert len(ps.frame.par_links()) == par_rules
     assert len(trace.logical_rules()) == par_rules
     verdict = is_proof_net(ps, terms, sig)
     assert verdict.is_net
@@ -202,7 +202,7 @@ def assert_round_trip(p, sig):
     assert check_nd(q, sig) == [], check_nd(q, sig)
     assert q.term == p.term and q.formula == p.formula
     got = {h.label: (h.term, h.formula) for h in open_leaves_in_order(q)}
-    want = {v: (terms[v], ps.vertices[v].formula) for v in ps.hypotheses}
+    want = {v: (terms[v], ps.frame.vertices[v].formula) for v in ps.frame.hypotheses}
     assert got == want
 
 

@@ -2,11 +2,13 @@ import math
 import random
 import time
 import tracemalloc
+from dataclasses import replace
 from itertools import permutations, product
 
 import pytest
 
 from conftest import CORPUS_SIG
+from dispnet.aps import IllFormedComb, to_aps
 from dispnet.contraction import is_proof_net
 from dispnet.formula import (
     Atom,
@@ -15,10 +17,12 @@ from dispnet.formula import (
     parse_formula,
     random_formula,
 )
-from dispnet.nd import open_leaves_in_order
+from dispnet.nd import extract_nd, nd_to_sexpr, open_leaves_in_order
 from dispnet.proofstructure import (
     Anchors,
     CountMismatch,
+    ProofFrame,
+    ProofStructure,
     check_structure,
     count_mismatches,
     enumerate_linkings,
@@ -69,7 +73,7 @@ def test_ring_up_linking_count():
     assert linking_count(frame) == 4
     for ps in structures:
         assert check_structure(ps) == []
-        assert len(ps.hypotheses) == 3
+        assert len(ps.frame.hypotheses) == 3
 
 
 def test_axiom_frame():
@@ -78,7 +82,7 @@ def test_axiom_frame():
     structures = list(enumerate_linkings(frame))
     assert len(structures) == 1
     ps = structures[0]
-    assert ps.goal == ps.hypotheses[0]
+    assert ps.goal == ps.frame.hypotheses[0]
 
 
 def test_simple_over_frame():
@@ -418,6 +422,63 @@ def test_derived_anchors_keep_every_net_on_corpus(proof_corpus):
         assert nets.items() <= kept.items(), str(proof.term)
         checked += 1
     assert checked > 100
+
+
+def copying_realize(frame, linking):
+    """The reference for ``realize``: the candidate as a copy of its
+    frame, each link rewritten with every linked consumer vertex merged
+    into its producer and those vertices dropped, standing as a frame of
+    its own under the empty linking."""
+    remap = {consumer: producer for producer, consumer in linking}
+
+    def m(vid):
+        return remap.get(vid, vid)
+
+    vertices = {vid: v for vid, v in frame.vertices.items() if vid not in remap}
+    links = [
+        replace(link,
+                premisses=tuple(map(m, link.premisses)),
+                conclusions=tuple(map(m, link.conclusions)),
+                main=m(link.main) if link.main is not None else None)
+        for link in frame.links
+    ]
+    return ProofStructure(
+        ProofFrame(vertices, links, list(frame.hypotheses), m(frame.goal)))
+
+
+def aps_text(ps, terms):
+    try:
+        return to_aps(ps, terms, CORPUS_SIG).to_text()
+    except IllFormedComb as exc:
+        return f"ill-formed: {exc}"
+
+
+def test_structure_read_through_linking_matches_copy(proof_corpus):
+    # every streamed candidate shares its frame, and reads, contracts
+    # and extracts exactly as a copy of the frame with its consumers
+    # merged into their producers
+    checked = 0
+    for proof, *_ in proof_corpus:
+        leaves = open_leaves_in_order(proof)
+        frame = unfold([h.formula for h in leaves], proof.formula, CORPUS_SIG)
+        if linking_count(frame) > 200:
+            continue
+        terms = {v: h.term for v, h in zip(frame.hypotheses, leaves)}
+        for ps in enumerate_linkings(frame):
+            assert ps.frame is frame
+            ref = copying_realize(frame, ps.linking)
+            assert ps.goal == ref.goal
+            assert check_structure(ps) == check_structure(ref)
+            assert aps_text(ps, terms) == aps_text(ref, terms)
+            got, want = (is_proof_net(x, terms, CORPUS_SIG, proof.term)
+                         for x in (ps, ref))
+            assert (got.kind, got.comb_term, got.trace.fmt()) == (
+                want.kind, want.comb_term, want.trace.fmt())
+            if got.kind != "stuck":
+                assert (nd_to_sexpr(extract_nd(got, CORPUS_SIG))
+                        == nd_to_sexpr(extract_nd(want, CORPUS_SIG)))
+            checked += 1
+    assert checked > 1000
 
 
 @pytest.mark.parametrize("hyps, expected", [
