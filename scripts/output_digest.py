@@ -13,7 +13,11 @@ of ``perfbench/workloads.py`` at seed 1:
 * ``roundtrip-corpus``: every stored proof sent through ``net_of_nd``
   and ``is_proof_net``: the abstract proof structure's ``to_text()``,
   both contraction traces (text and LaTeX), and the s-expression and
-  LaTeX of the proof ``extract_nd`` reads back.
+  LaTeX of the proof ``extract_nd`` reads back;
+* ``contraction``: every linking of each stored round-trip proof's
+  sequent that has at most 300 linkings, decided by ``is_proof_net``
+  against the proof's string: the verdict kind and the trace's
+  ``fmt()``, steps and stuck reports alike.
 
 dispnet is imported from this checkout's ``src``.
 """
@@ -66,9 +70,26 @@ def roundtrip_corpus():
                          nd.nd_to_sexpr(back), nd.latex_nd(back)))
 
 
+def contraction_verdicts():
+    from dispnet import contraction, nd, proofstructure as pstruct
+
+    work = workloads.RoundtripCorpus(SEED)
+    for item in work.items:
+        leaves = nd.open_leaves_in_order(item.proof)
+        frame = pstruct.unfold([h.formula for h in leaves], item.proof.formula,
+                               work.sig)
+        if pstruct.linking_count(frame) > 300:
+            continue
+        terms = {v: h.term for v, h in zip(frame.hypotheses, leaves)}
+        for ps in pstruct.enumerate_linkings(frame):
+            verdict = contraction.is_proof_net(ps, terms, work.sig, item.proof.term)
+            yield verdict.kind + "\n" + verdict.trace.fmt()
+
+
 def main():
     for name, records in (("parse-mix", parse_mix), ("prove-lambek", prove_lambek),
-                          ("roundtrip-corpus", roundtrip_corpus)):
+                          ("roundtrip-corpus", roundtrip_corpus),
+                          ("contraction", contraction_verdicts)):
         digest = hashlib.sha256()
         count = 0
         for text in records():

@@ -18,25 +18,29 @@ Rules, on comb rows:
         a sort-0 prefix then a separator; <: separator then a sort-0
         suffix; n: prefix of sort exactly n-1). The right row is
         inserted in place of that separator.
-  [\\]  the tethered block of the par link (its withdrawn hypothesis,
-        points interleaved with bare separators) is the whole prefix of
-        the comb concluding in the par premiss; the rest of the row
-        survives with the main vertex as conclusion.
-  [/]   mirror image: the block is the whole suffix.
-  [^k]  the block is a contiguous infix; it is replaced by one
-        separator, and the prefix left of it satisfies the mode's sort
-        condition (>: 0, <: suffix 0, n: n-1).
-  [!k]  circumfix: the comb is exactly block-prefix + anything +
-        block-suffix, split at the block's k-designated separator; the
-        middle survives with the main vertex as conclusion.
-  [ok]  the first tether group circumfixes the second: prefix + second
-        block + suffix occur contiguously in a comb and are replaced by
-        the par link's premiss vertex.
-  [*]   degenerate circumfix: the two blocks are adjacent and are
-        replaced by the premiss vertex.
+
+A par link's withdrawn hypothesis is its tether block: its points
+interleaved with separator slots, which match any separator. Its rule
+has one of two shapes.
+
+  strip    [\\], [/], [!k]. The block is cut at a slot: at its end
+           ([\\]), at its start ([/]), or at the mode's separator, which
+           the cut drops ([!k]). The two parts must be the prefix and
+           the suffix of the comb that concludes in the par premiss.
+           They are stripped off, and what is left between them
+           survives with the main vertex as conclusion.
+  replace  [^k], [*], [ok]. A pattern must sit where the first tether
+           point does: the block ([^k]), the two blocks side by side
+           ([*]), or the second block inside the first at the mode's
+           separator ([ok]). It is replaced by one item. For [^k] that
+           item is a separator, which must be the mode's separator of
+           the result, and the block must lie in the comb that
+           concludes in the par premiss; that comb then concludes in
+           the main vertex. For [*] and [ok] the item is the par link's
+           premiss vertex.
 
 Stuck structures are data: each remaining par link reports which
-geometric condition failed.
+geometric condition failed, in ``ContractionTrace.stuck``.
 
 The engine is a worklist. A ready table maps each live element to the
 redex it offers, structural elements (combs, cross links) apart from
@@ -67,7 +71,7 @@ redex list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import proofstructure as pstruct
 from .aps import APS, GroupSep, Pt, is_separator, to_aps
@@ -139,9 +143,6 @@ class ContractionTrace:
         return "\n".join(lines)
 
 
-STRUCTURAL = ("+", "x")
-
-
 def _block_items(par, group_idx):
     """The withdrawn hypothesis's shape: its points interleaved with
     separator slots. Slots match any separator item: a wrap that
@@ -166,26 +167,6 @@ def _slice_matches(row, i, block) -> bool:
         elif not is_separator(got):
             return False
     return True
-
-
-def _find_block(aps, par, group_idx):
-    """Locate the tether block inside the comb currently holding its
-    first point. Returns (comb, index) or (None, reason)."""
-    first = par.groups[group_idx][0]
-    where = aps.premiss_at.get(first)
-    if where is None or where[0] != "comb":
-        return None, f"tether point v{first} is not in a comb row"
-    comb = aps.combs[where[1]]
-    block = _block_items(par, group_idx)
-    for i, it in enumerate(comb.row):
-        if it == Pt(first):
-            if _slice_matches(comb.row, i, block):
-                return (comb, i), None
-            return None, (
-                f"tether block of v{first} is broken up "
-                f"(separators wrapped or points scattered)"
-            )
-    raise AssertionError(f"premiss map out of sync for v{first}")
 
 
 def _sep_available(aps, item, insert_row) -> bool:
@@ -260,87 +241,68 @@ def _match_cross(aps, t):
     return Redex("x", t.mode, t.tid, kl.cid, (right[1], pos)), None
 
 
+# The strip rules, with why each fails: the row is too short, or its
+# prefix or its suffix is not the block's part.
+_STRIPS = {
+    "\\": ("withdrawn block is not the comb's prefix",) * 3,
+    "/": ("withdrawn block is not the comb's suffix",) * 3,
+    "!": ("comb row shorter than the circumfix",
+          "circumfix prefix does not match the comb",
+          "circumfix suffix does not match the comb"),
+}
+# The replace rules, with why each fails: the pattern is not in place.
+_REPLACES = {
+    "^": "tether block of v{} is broken up (separators wrapped or points scattered)",
+    "*": "the two component blocks are not adjacent",
+    "o": "circumfix and infix blocks are not interleaved correctly",
+}
+
+
 def _match_par(aps, p):
-    if p.tag in ("*", "o"):
-        return _match_par_product(aps, p)
-    return _match_par_implication(aps, p)
-
-
-def _match_par_implication(aps, p):
-    producer = aps.concl_of.get(p.premiss)
-    if producer is None or producer[0] != "comb":
-        return None, f"premiss v{p.premiss} is not a comb conclusion yet"
-    comb = aps.combs[producer[1]]
+    """The redex par link ``p`` offers, or None and the reason it is
+    stuck. Its rule strips its block off a comb or replaces a pattern
+    of its blocks by one item; the module docstring gives both shapes."""
+    if p.tag not in ("*", "o"):
+        producer = aps.concl_of.get(p.premiss)
+        if producer is None or producer[0] != "comb":
+            return None, f"premiss v{p.premiss} is not a comb conclusion yet"
+        cid = producer[1]
     block = _block_items(p, 0)
-    row = comb.row
-    if p.tag == "\\":
-        if not _slice_matches(row, 0, block):
-            return None, "withdrawn block is not the comb's prefix"
-        return Redex("\\", None, p.pid, comb.cid, (len(block),)), None
-    if p.tag == "/":
-        if not _slice_matches(row, len(row) - len(block), block):
-            return None, "withdrawn block is not the comb's suffix"
-        return Redex("/", None, p.pid, comb.cid, (len(row) - len(block),)), None
-    if p.tag == "^":
-        found, reason = _find_block(aps, p, 0)
-        if found is None:
-            return None, reason
-        bcomb, i = found
-        if bcomb.cid != comb.cid:
-            return None, "auxiliary block lies outside the premiss comb"
-        pre, post = row[:i], row[i + len(block):]
-        if p.mode.kind == ">" and aps.row_sort(pre) != 0:
-            return None, "prefix left of the infix has nonzero sort"
-        if p.mode.kind == "<" and aps.row_sort(post) != 0:
-            return None, "suffix right of the infix has nonzero sort"
-        if p.mode.kind == "@" and aps.row_sort(pre) != p.mode.index - 1:
-            return None, (
-                f"prefix left of the infix has sort {aps.row_sort(pre)}, "
-                f"mode needs {p.mode.index - 1}"
-            )
-        return Redex("^", p.mode, p.pid, comb.cid, (i, len(block))), None
-    if p.tag == "!":
-        j = p.mode.slot(len(p.groups[0]) - 1)
-        prefix = block[:2 * j - 1]
-        suffix = block[2 * j:]
+    if p.tag in ("!", "o"):  # cut at the mode's separator, dropping it
+        cut = 2 * p.mode.slot(len(p.groups[0]) - 1) - 1
+        prefix, suffix = block[:cut], block[cut + 1:]
+    else:  # cut at the block's start ([/]) or end
+        cut = 0 if p.tag == "/" else len(block)
+        prefix, suffix = block[:cut], block[cut:]
+    if p.tag in _STRIPS:
+        row = aps.combs[cid].row
+        short, bad_prefix, bad_suffix = _STRIPS[p.tag]
         if len(row) < len(prefix) + len(suffix):
-            return None, "comb row shorter than the circumfix"
+            return None, short
         if not _slice_matches(row, 0, prefix):
-            return None, "circumfix prefix does not match the comb"
-        if suffix and not _slice_matches(row, len(row) - len(suffix), suffix):
-            return None, "circumfix suffix does not match the comb"
-        return Redex("!", p.mode, p.pid, comb.cid, (len(prefix), len(suffix))), None
-    raise AssertionError(p.tag)
-
-
-def _match_par_product(aps, p):
-    block_b = _block_items(p, 1)
-    block_a = _block_items(p, 0)
-    if p.tag == "*":
-        pattern = block_a + block_b
-    else:
-        j = p.mode.slot(len(p.groups[0]) - 1)
-        pattern = block_a[:2 * j - 1] + block_b + block_a[2 * j:]
-    found, reason = _find_block_start(aps, p.groups[0][0])
-    if found is None:
-        return None, reason
-    comb, i = found
-    if not _slice_matches(comb.row, i, pattern):
-        if p.tag == "*":
-            return None, "the two component blocks are not adjacent"
-        return None, "circumfix and infix blocks are not interleaved correctly"
-    return Redex(p.tag, p.mode, p.pid, comb.cid, (i, len(pattern))), None
-
-
-def _find_block_start(aps, first):
-    where = aps.premiss_at.get(first)
-    if where is None or where[0] != "comb":
-        return None, f"tether point v{first} is not in a comb row"
-    comb = aps.combs[where[1]]
-    for i, it in enumerate(comb.row):
-        if it == Pt(first):
-            return (comb, i), None
-    raise AssertionError(f"premiss map out of sync for v{first}")
+            return None, bad_prefix
+        if not _slice_matches(row, len(row) - len(suffix), suffix):
+            return None, bad_suffix
+        return Redex(p.tag, p.mode, p.pid, cid, (len(prefix), len(suffix))), None
+    first = p.groups[0][0]
+    at = aps.premiss_at[first][1]  # a tether point only ever sits in a comb row
+    row = aps.combs[at].row
+    i = row.index(Pt(first))
+    pattern = block if p.tag == "^" else prefix + _block_items(p, 1) + suffix
+    if not _slice_matches(row, i, pattern):
+        return None, _REPLACES[p.tag].format(first)
+    if p.tag == "^":
+        if at != cid:
+            return None, "auxiliary block lies outside the premiss comb"
+        # the separator left in the block's place must be the mode's
+        pre = aps.row_sort(row[:i])
+        if p.mode.slot(aps.points[p.main]) != pre + 1:
+            if p.mode.kind == "@":
+                return None, (f"prefix left of the infix has sort {pre}, "
+                              f"mode needs {p.mode.index - 1}")
+            side = "prefix left" if p.mode.kind == ">" else "suffix right"
+            return None, f"{side} of the infix has nonzero sort"
+    return Redex(p.tag, p.mode, p.pid, at, (i, len(pattern))), None
 
 
 def _match_element(aps: APS, eid: int):
@@ -411,24 +373,16 @@ def apply_redex(aps: APS, redex: Redex) -> ContractionStep:
 
     par = aps.pars[redex.element]
     comb = aps.combs[redex.comb]
-    if rule == "\\":
-        (blen,) = redex.data
-        comb.row[:blen] = []
-    elif rule == "/":
-        (start,) = redex.data
-        comb.row[start:] = []
-    elif rule == "^":
-        i, blen = redex.data
-        comb.row[i:i + blen] = [SEP]
-    elif rule == "!":
+    row = comb.row
+    if rule in _STRIPS:
         plen, slen = redex.data
-        comb.row[:] = comb.row[plen:len(comb.row) - slen]
-    else:  # "*" or "o"
-        i, plen = redex.data
-        comb.row[i:i + plen] = [Pt(par.main)]
+        row[:] = row[plen:len(row) - slen]
+    else:
+        i, n = redex.data
+        row[i:i + n] = [SEP if rule == "^" else Pt(par.main)]
+    if rule in ("*", "o"):
         aps.premiss_at[par.main] = ("comb", comb.cid)
-
-    if rule in ("\\", "/", "^", "!"):
+    else:
         # the comb now concludes in the par link's main vertex
         aps.drop_point(par.premiss)
         comb.concl = par.main
@@ -438,8 +392,7 @@ def apply_redex(aps: APS, redex: Redex) -> ContractionStep:
             aps.drop_point(q)
     del aps.pars[par.pid]
     return ContractionStep(
-        redex.label(), (par.pid,), comb.cid, comb.concl, tuple(comb.row),
-        par.source
+        redex.label(), (par.pid,), comb.cid, comb.concl, tuple(row), par.source
     )
 
 
@@ -531,7 +484,6 @@ class NetVerdict:
     hyp_terms: dict
     trace: ContractionTrace
     comb_term: StringTerm | None = None
-    diagnostics: list = field(default_factory=list)
 
 
 def is_proof_net(ps, hyp_terms, sig, expected=None) -> NetVerdict:
@@ -546,18 +498,13 @@ def is_proof_net(ps, hyp_terms, sig, expected=None) -> NetVerdict:
         aps = to_aps(ps, hyp_terms, sig)
     except IllFormedComb as exc:
         empty = ContractionTrace([], [StuckReport(-1, "+", str(exc))], 0)
-        return NetVerdict(False, "stuck", ps, hyp_terms, empty,
-                          diagnostics=empty.stuck)
+        return NetVerdict(False, "stuck", ps, hyp_terms, empty)
     trace = contract(aps)
     if not trace.contracted:
-        return NetVerdict(False, "stuck", ps, hyp_terms, trace,
-                          diagnostics=trace.stuck)
+        return NetVerdict(False, "stuck", ps, hyp_terms, trace)
     comb = aps.final_comb()
     term = aps.final_term()
     assert comb.concl == ps.goal, "final comb does not conclude in the goal"
     if expected is not None and term != expected:
-        return NetVerdict(
-            False, "string_mismatch", ps, hyp_terms, trace, term,
-            [f"derived string {term} differs from expected {expected}"],
-        )
+        return NetVerdict(False, "string_mismatch", ps, hyp_terms, trace, term)
     return NetVerdict(True, "net", ps, hyp_terms, trace, term)

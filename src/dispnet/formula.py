@@ -117,6 +117,31 @@ class IllSorted(FormulaError):
     """Raised when sort arithmetic is read off an ill-sorted formula."""
 
 
+def content_lines(text: str):
+    """(line number, line) for each line of ``text`` that holds more than
+    a comment, with the comment and the outer blanks removed."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def read_sorts(lines):
+    """The sorts that ``atom sort`` lines, given as (line number, line),
+    declare, and a message for each line that is malformed or declares
+    its atom again."""
+    sorts, violations = {}, []
+    for lineno, line in lines:
+        parts = line.split()
+        if len(parts) != 2 or not parts[1].isdecimal():
+            violations.append(f"line {lineno}: bad signature entry {line!r}")
+        elif parts[0] in sorts:
+            violations.append(f"line {lineno}: atom {parts[0]} declared twice")
+        else:
+            sorts[parts[0]] = int(parts[1])
+    return sorts, violations
+
+
 class Signature:
     """Sorts of the atomic formulas of a grammar."""
 
@@ -162,18 +187,9 @@ class Signature:
 
     @classmethod
     def parse(cls, text: str) -> "Signature":
-        sorts = {}
-        for lineno, line in enumerate(text.splitlines(), 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2 or not parts[1].isdigit():
-                raise FormulaError(f"line {lineno}: bad signature entry {line!r}")
-            name = parts[0]
-            if name in sorts:
-                raise FormulaError(f"line {lineno}: atom {name} declared twice")
-            sorts[name] = int(parts[1])
+        sorts, violations = read_sorts(content_lines(text))
+        if violations:
+            raise FormulaError(violations[0])
         return cls(sorts)
 
     def format(self) -> str:

@@ -71,29 +71,17 @@ def load_grammar(text: str) -> Grammar:
     sig_lines = []
     entry_lines = []
     violations = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in fm.content_lines(text):
         if ":=" in line:
             entry_lines.append((lineno, line))
+        elif entry_lines:
+            violations.append(
+                f"line {lineno}: signature entry {line!r} after first lexical entry"
+            )
         else:
-            if entry_lines:
-                violations.append(
-                    f"line {lineno}: signature entry {line!r} after first lexical entry"
-                )
-            else:
-                sig_lines.append((lineno, line))
-
-    sorts = {}
-    for lineno, line in sig_lines:
-        parts = line.split()
-        if len(parts) != 2 or not parts[1].isdigit():
-            violations.append(f"line {lineno}: bad signature entry {line!r}")
-        elif parts[0] in sorts:
-            violations.append(f"line {lineno}: atom {parts[0]} declared twice")
-        else:
-            sorts[parts[0]] = int(parts[1])
+            sig_lines.append((lineno, line))
+    sorts, bad = fm.read_sorts(sig_lines)
+    violations.extend(bad)
     sig = fm.Signature(sorts)
 
     entries = []

@@ -243,7 +243,8 @@ def count_mismatches(frame: ProofFrame) -> dict:
     return out
 
 
-_PARTS = (fm.Prod, fm.Wrap)  # two parts, both keeping the polarity
+# the connectives with two parts, both keeping the polarity: no argument
+_PARTS = tuple(cls for cls, names in fm.OPERANDS.items() if "arg" not in names)
 
 
 def sequent_mismatches(hypotheses, goal) -> dict:

@@ -88,10 +88,10 @@ def test_ring_up_losers():
     assert kinds == ["string_mismatch", "stuck", "stuck"]
     for v in losers:
         if v.kind == "stuck":
-            assert v.diagnostics
-            assert any("not a comb conclusion" in r.reason for r in v.diagnostics)
+            assert v.trace.stuck
+            assert any("not a comb conclusion" in r.reason for r in v.trace.stuck)
         else:
-            assert "everyone+rang+mary+up" in v.diagnostics[0]
+            assert str(v.comb_term) == "everyone+rang+mary+up"
 
 
 def test_ring_up_theorem_mode():
@@ -339,8 +339,163 @@ def test_stuck_reports_sort_condition():
     assert stuck
     assert any(
         "suffix right of the infix has nonzero sort" in r.reason
-        for v in stuck for r in v.diagnostics
+        for v in stuck for r in v.trace.stuck
     )
+
+
+# One net per par rule and mode, then one stuck structure per reason a
+# par link gives: name -> (hypotheses as (term, formula), goal, expected
+# string, linking index, verdict kind, trace lines).
+PAR_GOLDEN = {
+    "\\": ([("x", "a")], "b\\(b*a)", "x", 0, "net", [
+        "[+] consumed 4 -> comb 6: v3 x",
+        "[+] consumed 8 -> comb 6: v7 x",
+        "[\\] consumed 5 -> comb 6: x",
+    ]),
+    "/": ([("x", "a")], "(a*b)/b", "x", 0, "net", [
+        "[+] consumed 4 -> comb 6: x v3",
+        "[+] consumed 8 -> comb 6: x v7",
+        "[/] consumed 5 -> comb 6: x",
+    ]),
+    "^>": ([("y", "np\\s")], "s^>np", "1+y", 0, "net", [
+        "[+] consumed 6 -> comb 7: v5 y",
+        "[+] consumed 10 -> comb 7: v9 y",
+        "[^>] consumed 8 -> comb 7: 1 y",
+    ]),
+    "^<": ([("y", "np\\s")], "s^<np", "1+y", 0, "net", [
+        "[+] consumed 6 -> comb 7: v5 y",
+        "[+] consumed 10 -> comb 7: v9 y",
+        "[^<] consumed 8 -> comb 7: 1 y",
+    ]),
+    "^n": ([("a+1+b", "j")], "(j*np)^2np", "a+1+b+1", 0, "net", [
+        "[+] consumed 4 -> comb 6: a 1 b v3",
+        "[+] consumed 8 -> comb 6: a 1 b v7",
+        "[^2] consumed 5 -> comb 6: a 1 b 1",
+    ]),
+    "!>": ([("x", "s")], "j!>(j o> s)", "x", 0, "net", [
+        "[x>] consumed 6,4 -> comb 9: v7 x v8",
+        "[!>] consumed 5 -> comb 9: x",
+    ]),
+    "!<": ([("x", "s")], "j!<(j o< s)", "x", 0, "net", [
+        "[x<] consumed 6,4 -> comb 9: v7 x v8",
+        "[!<] consumed 5 -> comb 9: x",
+    ]),
+    "!n": ([("x", "s")], "k2!2(k2 o2 s)", "x", 0, "net", [
+        "[x2] consumed 6,4 -> comb 10: v7 1[5.0.1] v8 x v9",
+        "[!2] consumed 5 -> comb 10: x",
+    ]),
+    "*": ([("x", "a*b")], "a*b", "x", 0, "net", [
+        "[+] consumed 8 -> comb 6: v7 v2",
+        "[+] consumed 10 -> comb 6: v7 v9",
+        "[*] consumed 5 -> comb 6: v0",
+        "[+] consumed 4 -> comb 6: x",
+    ]),
+    "o>": ([("y", "j o> s")], "j o> s", "y", 0, "net", [
+        "[x>] consumed 6,11 -> comb 9: v7 v10 v8",
+        "[o>] consumed 5 -> comb 9: v0",
+        "[+] consumed 4 -> comb 9: y",
+    ]),
+    "o<": ([("y", "j o< s")], "j o< s", "y", 0, "net", [
+        "[x<] consumed 6,11 -> comb 9: v7 v10 v8",
+        "[o<] consumed 5 -> comb 9: v0",
+        "[+] consumed 4 -> comb 9: y",
+    ]),
+    "on": ([("y+1+z", "k2 o2 s")], "k2 o2 s", "y+1+z", 0, "net", [
+        "[x2] consumed 6,12 -> comb 10: v7 1[5.0.1] v8 v11 v9",
+        "[o2] consumed 5 -> comb 10: v0",
+        "[+] consumed 4 -> comb 10: y 1 z",
+    ]),
+    "premiss-not-yet": ([("x", "(b/a)/a")], "(b/a)/a", None, 1, "stuck", [
+        "[+] consumed 10 -> comb 11: x v9",
+        "[+] consumed 11 -> comb 12: x v9 v7",
+        "[+] consumed 16 -> comb 12: x v9 v15",
+        "[+] consumed 18 -> comb 12: x v17 v15",
+        "stuck:",
+        "  par 13 [/]: premiss v6 is not a comb conclusion yet",
+        "  par 14 [/]: withdrawn block is not the comb's suffix",
+    ]),
+    "not-prefix": ([("y", "b")], "a\\(b*a)", None, 0, "stuck", [
+        "[+] consumed 4 -> comb 6: y v3",
+        "[+] consumed 8 -> comb 6: y v7",
+        "stuck:",
+        "  par 5 [\\]: withdrawn block is not the comb's prefix",
+    ]),
+    "not-suffix": ([("y", "b")], "(a*b)/a", None, 0, "stuck", [
+        "[+] consumed 4 -> comb 6: v3 y",
+        "[+] consumed 8 -> comb 6: v7 y",
+        "stuck:",
+        "  par 5 [/]: withdrawn block is not the comb's suffix",
+    ]),
+    "outside-premiss": ([("x", "np"), ("y", "np\\s"), ("z", "np\\s")], "s*(s^>np)",
+                        None, 1, "stuck", [
+        "[+] consumed 12 -> comb 15: x v1",
+        "[+] consumed 13 -> comb 15: x y",
+        "[+] consumed 14 -> comb 16: v11 z",
+        "[+] consumed 16 -> comb 17: v11 z v9",
+        "[+] consumed 20 -> comb 17: v19 z v9",
+        "stuck:",
+        "  par 18 [^>]: auxiliary block lies outside the premiss comb",
+    ]),
+    "prefix-sort": ([("a+1+b", "j")], "(j*np)^>np", None, 0, "stuck", [
+        "[+] consumed 4 -> comb 6: a 1 b v3",
+        "[+] consumed 8 -> comb 6: a 1 b v7",
+        "stuck:",
+        "  par 5 [^>]: prefix left of the infix has nonzero sort",
+    ]),
+    "suffix-sort": ([("a+1+b", "j")], "(np*j)^<np", None, 0, "stuck", [
+        "[+] consumed 4 -> comb 6: v3 a 1 b",
+        "[+] consumed 8 -> comb 6: v7 a 1 b",
+        "stuck:",
+        "  par 5 [^<]: suffix right of the infix has nonzero sort",
+    ]),
+    "mode-sort": ([("a+1+b", "j")], "(np*j)^2np", None, 0, "stuck", [
+        "[+] consumed 4 -> comb 6: v3 a 1 b",
+        "[+] consumed 8 -> comb 6: v7 a 1 b",
+        "stuck:",
+        "  par 5 [^2]: prefix left of the infix has sort 0, mode needs 1",
+    ]),
+    "row-shorter": ([("x", "(j!>a)/a"), ("y", "a")], "j!>a", None, 0, "stuck", [
+        "[+] consumed 9 -> comb 11: x v4",
+        "[x>] consumed 12,11 -> comb 16: v14 x v4 v15",
+        "stuck:",
+        "  par 13 [!>]: comb row shorter than the circumfix",
+        "  par 16 [+]: comb feeds itself (cyclic linking)",
+    ]),
+    "circ-prefix": ([("x", "s"), ("y", "np")], "j!>(np*(j o> s))", None, 0, "stuck", [
+        "[+] consumed 8 -> comb 10: y v6",
+        "[x>] consumed 11,7 -> comb 14: v12 x v13",
+        "[+] consumed 14 -> comb 10: y v12 x v13",
+        "stuck:",
+        "  par 9 [!>]: circumfix prefix does not match the comb",
+    ]),
+    "circ-suffix": ([("x", "s"), ("y", "np")], "j!>((j o> s)*np)", None, 0, "stuck", [
+        "[+] consumed 7 -> comb 9: v5 y",
+        "[x>] consumed 10,6 -> comb 13: v11 x v12",
+        "[+] consumed 13 -> comb 9: v11 x v12 y",
+        "stuck:",
+        "  par 8 [!>]: circumfix suffix does not match the comb",
+    ]),
+    "not-adjacent": ([("x", "b*a")], "a*b", None, 0, "stuck", [
+        "[+] consumed 8 -> comb 6: v2 v7",
+        "[+] consumed 10 -> comb 6: v9 v7",
+        "stuck:",
+        "  par 5 [*]: the two component blocks are not adjacent",
+    ]),
+    "not-interleaved": ([("y", "j o> s"), ("z", "np")], "j o> (np*s)", None, 0, "stuck", [
+        "[+] consumed 8 -> comb 11: z v2",
+        "[x>] consumed 10,11 -> comb 14: v12 z v2 v13",
+        "[+] consumed 16 -> comb 14: v12 z v15 v13",
+        "stuck:",
+        "  par 9 [o>]: circumfix and infix blocks are not interleaved correctly",
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", PAR_GOLDEN)
+def test_par_rule_golden(name):
+    hyps, goal, expect, index, kind, trace = PAR_GOLDEN[name]
+    verdict = prove(hyps, goal, expect)[index]
+    assert (verdict.kind, verdict.trace.fmt().splitlines()) == (kind, trace)
 
 
 @pytest.mark.xfail(strict=True, reason=(
