@@ -330,17 +330,14 @@ def cmd_check(args) -> int:
         text = open(args.proof).read()
     except OSError as exc:
         return _input_error(exc)
-    sig_lines = []
-    proof_lines = []
-    for line in text.splitlines():
-        stripped = line.split("#", 1)[0].strip()
-        if not proof_lines and stripped and not stripped.startswith("("):
-            sig_lines.append(stripped)
-        elif stripped:
-            proof_lines.append(line)
+    # the signature is the lines before the first one that opens a proof
+    rows, lines = text.splitlines(), list(fm.content_lines(text))
+    start = next((n for n, line in lines if line.startswith("(")),
+                 len(rows) + 1)
     try:
-        sig = fm.Signature.parse("\n".join(sig_lines))
-        proof = nd.nd_from_sexpr("\n".join(proof_lines))
+        sig = fm.Signature.parse("\n".join(rows[:start - 1]))
+        proof = nd.nd_from_sexpr(
+            "\n".join(line for n, line in lines if n >= start))
     except (ValueError, IndexError, RecursionError) as exc:
         return _input_error(exc)
     violations = nd.check_nd(proof, sig)

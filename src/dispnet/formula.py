@@ -13,8 +13,12 @@ the one separator it consumes or introduces. Side conditions (the
 circumfix argument of ``!``/``o`` must have a separator; numeric modes
 must address an existing separator) are what ``well_sorted`` checks.
 
-A Signature fixes the sorts of atoms and memoizes formula sorts, so the
-rest of the system can read sorts as if they were stored on each node.
+A Signature fixes the sorts of atoms. Formula nodes are frozen, slotted
+dataclasses that keep the sort and the ``well_sorted`` verdict last
+computed for them, with the signature those hold under;
+``Signature.sort_of`` reads the node when that signature is the one
+asking. There is no memo table, so what is remembered lives and dies
+with the node.
 """
 
 from __future__ import annotations
@@ -26,37 +30,46 @@ from dataclasses import dataclass, fields
 from .terms import FIRST, LAST, Mode, at, parse_mode
 
 
-@dataclass(frozen=True)
-class Atom:
+class _Node:
+    """What every formula node remembers beside its fields: the sort and
+    well-sortedness verdict last computed for it, with the signature they
+    hold under. The slots start unset, also on a node made by
+    ``dataclasses.replace``, and are filled on first use."""
+
+    __slots__ = ("_sig", "_sort", "_ok")
+
+
+@dataclass(frozen=True, slots=True)
+class Atom(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Over:
+@dataclass(frozen=True, slots=True)
+class Over(_Node):
     """C/B: wants a B to its right to form a C."""
 
     result: "Formula"
     arg: "Formula"
 
 
-@dataclass(frozen=True)
-class Under:
+@dataclass(frozen=True, slots=True)
+class Under(_Node):
     """A\\C: wants an A to its left to form a C."""
 
     arg: "Formula"
     result: "Formula"
 
 
-@dataclass(frozen=True)
-class Prod:
+@dataclass(frozen=True, slots=True)
+class Prod(_Node):
     """A*B: concatenation of an A and a B."""
 
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Up:
+@dataclass(frozen=True, slots=True)
+class Up(_Node):
     """C^kB: a C with a B extracted at the k-designated separator."""
 
     result: "Formula"
@@ -64,8 +77,8 @@ class Up:
     mode: Mode
 
 
-@dataclass(frozen=True)
-class Down:
+@dataclass(frozen=True, slots=True)
+class Down(_Node):
     """A!kC: infix that a circumfix A wraps around to form a C."""
 
     arg: "Formula"
@@ -73,8 +86,8 @@ class Down:
     mode: Mode
 
 
-@dataclass(frozen=True)
-class Wrap:
+@dataclass(frozen=True, slots=True)
+class Wrap(_Node):
     """AokB: an A wrapped around a B at the k-designated separator."""
 
     left: "Formula"
@@ -143,14 +156,18 @@ def read_sorts(lines):
 
 
 class Signature:
-    """Sorts of the atomic formulas of a grammar."""
+    """Sorts of the atomic formulas of a grammar.
+
+    A formula's sort is kept on the formula node itself, for the
+    signature that last asked for it, so the signature holds no table of
+    formulas: asking again under the same signature reads the node, and
+    asking under another one computes the sort afresh and keeps that."""
 
     def __init__(self, sorts: dict):
         for name, s in sorts.items():
             if s < 0:
                 raise FormulaError(f"atom {name}: negative sort {s}")
         self.sorts = dict(sorts)
-        self._memo = {}
 
     def __contains__(self, name):
         return name in self.sorts
@@ -161,13 +178,16 @@ class Signature:
     def sort_of(self, f) -> int:
         """Sort of a formula, assuming it is well-sorted."""
         try:
-            return self._memo[f]
-        except KeyError:
+            if f._sig is self:
+                return f._sort
+        except AttributeError:
             pass
         s = self._raw_sort(f)
         if s < 0:
             raise IllSorted(f"{format_formula(f)} has negative sort {s}")
-        self._memo[f] = s
+        object.__setattr__(f, "_sig", self)
+        object.__setattr__(f, "_sort", s)
+        object.__setattr__(f, "_ok", False)  # not yet checked under self
         return s
 
     def _raw_sort(self, f) -> int:
@@ -204,7 +224,9 @@ def well_sorted(f, sig: Signature) -> list:
     """Check a formula recursively; returns a list of violations
     (empty when the formula is well-sorted). Never raises: violations
     are accumulated so grammar validation can report everything at
-    once."""
+    once. A node found well-sorted remembers it for ``sig``, so asking
+    again, for it or for a formula that contains it, skips its subtree;
+    violations are found afresh each time."""
     violations = []
 
     def visit(g):
@@ -212,10 +234,19 @@ def well_sorted(f, sig: Signature) -> list:
             if g.name not in sig:
                 violations.append(f"unknown atom {g.name}")
             return
+        try:
+            if g._ok and g._sig is sig:
+                return
+        except AttributeError:
+            pass
+        before = len(violations)
         for child in _children(g):
             visit(child)
         for v in _outer_violations(g, sig):
             violations.append(f"{format_formula(g)}: {v}")
+        if len(violations) == before:
+            sig.sort_of(g)  # ties g's slots to sig
+            object.__setattr__(g, "_ok", True)
 
     visit(f)
     return violations

@@ -504,6 +504,22 @@ def test_check_file_missing(capsys):
     assert code == 2
 
 
+def test_check_reports_file_line_numbers(tmp_path, capsys):
+    path = tmp_path / "bad.nd"
+    path.write_text('# a proof\n\nnp 0\ns x\n(hyp 0 "a" "np")\n')
+    code, out, err = run(["check", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: line 4: bad signature entry 's x'\n"
+
+
+def test_check_reads_comments_as_the_signature_does(tmp_path, capsys):
+    path = tmp_path / "ok.nd"
+    path.write_text('np 0  # the one atom\n\n(hyp 0 "a" "np")  # a leaf\n')
+    code, out, err = run(["check", str(path)], capsys)
+    assert (code, err) == (0, "")
+    assert out == "ok: a : np from 1 hypothesis(es)\n"
+
+
 DEEP = 3000
 
 

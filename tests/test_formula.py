@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,12 +8,14 @@ from dispnet.formula import (
     Atom,
     Down,
     FormulaError,
+    IllSorted,
     Over,
     Prod,
     Signature,
     Under,
     Up,
     Wrap,
+    _children,
     format_formula,
     parse_formula,
     random_formula,
@@ -156,3 +159,107 @@ def test_well_sorted_monotone(seed):
     ok = well_sorted(f, SIG) == []
     parts_ok = all(well_sorted(c, SIG) == [] for c in _children(f))
     assert ok == (parts_ok and top_level_ok(f, SIG))
+
+
+# --- what a formula node remembers ---------------------------------------
+
+SIG_A = Signature({"np": 1, "s": 0})
+SIG_B = Signature({"np": 0, "s": 2})
+
+
+def checked_sort(f, sig):
+    """brute_sort, or None when some subformula's sort is negative."""
+    if not isinstance(f, Atom) and any(
+            checked_sort(c, sig) is None for c in _children(f)):
+        return None
+    s = brute_sort(f, sig)
+    return s if s >= 0 else None
+
+
+def asked_sort(f, sig):
+    try:
+        return sig.sort_of(f)
+    except IllSorted:
+        return None
+
+
+def subformulas(f):
+    yield f
+    for c in _children(f):
+        yield from subformulas(c)
+
+
+def test_one_node_answers_each_signature_with_its_own_sort():
+    f = parse_formula("(s^>np)*np")
+    for _ in range(3):
+        assert SIG_A.sort_of(f) == 1 and SIG_A.sort_of(f.left) == 0
+        assert SIG_B.sort_of(f) == 3 and SIG_B.sort_of(f.left) == 3
+
+
+def test_alternating_signatures_match_the_raw_recurrences():
+    rng = random.Random(5)
+    sig_b = Signature({"np": 1, "n": 0, "s": 2, "pp": 0, "inf": 0, "big2": 1})
+    formulas = [random_formula(rng, SIG, 5) for _ in range(300)]
+    for sig in (SIG, sig_b, SIG, sig_b):
+        for f in formulas:
+            for g in subformulas(f):
+                assert asked_sort(g, sig) == checked_sort(g, sig)
+                assert (well_sorted(g, sig) == []) == (
+                    well_sorted(parse_formula(format_formula(g)), sig) == [])
+
+
+def test_well_sorted_under_one_signature_is_not_taken_for_another():
+    f = parse_formula("(np!>s)/s")
+    bad = ["np!>s: circumfix argument has sort 0"]
+    for _ in range(2):
+        assert well_sorted(f, SIG_A) == []
+        assert well_sorted(f, SIG_B) == bad
+    # the sort alone, asked under B, must not carry A's verdict over
+    assert well_sorted(f, SIG_A) == []
+    SIG_B.sort_of(f)
+    assert well_sorted(f, SIG_B) == bad
+
+
+def test_negative_sort_raises_every_time():
+    f = parse_formula("s/np")
+    for _ in range(3):
+        with pytest.raises(IllSorted):
+            SIG_A.sort_of(f)
+        assert well_sorted(f, SIG_A) == [
+            "s/np: result sort smaller than argument sort"]
+    assert getattr(f, "_sig", None) is not SIG_A
+    assert SIG_B.sort_of(f) == 2
+
+
+def test_equal_formulas_hash_equal():
+    rng = random.Random(11)
+    for _ in range(200):
+        f = random_formula(rng, SIG, 5)
+        g = parse_formula(format_formula(f))
+        SIG.sort_of(f)
+        assert f == g and f is not g and hash(f) == hash(g)
+        assert {f: 1}[g] == 1
+
+
+def test_replace_of_a_remembered_node_answers_afresh():
+    f = parse_formula("np\\(s^>np)")
+    assert SIG_B.sort_of(f) == 3 and well_sorted(f, SIG_B) == []
+    g = replace(f, arg=Atom("s"))
+    assert SIG_B.sort_of(g) == 1 and well_sorted(g, SIG_B) == []
+    h = replace(f.result, result=Atom("np"))
+    assert SIG_B.sort_of(h) == 1
+    assert well_sorted(replace(f, arg=Atom("pp")), SIG_B)[0] == "unknown atom pp"
+    assert replace(f) == f and hash(replace(f)) == hash(f)
+
+
+def test_the_signature_keeps_no_table_of_formulas():
+    sig = Signature({"np": 0, "s": 0})
+    for text in ("np\\s", "s/np", "(np\\s)/np", "np*np"):
+        sig.sort_of(parse_formula(text))
+        well_sorted(parse_formula(text), sig)
+    assert vars(sig) == {"sorts": {"np": 0, "s": 0}}
+    # nor does a node: its answers live in slots, and its fields are its
+    # operands (and mode) only
+    f = parse_formula("(np\\s)^>np")
+    assert not hasattr(f, "__dict__")
+    assert [x.name for x in fields(f)] == ["result", "arg", "mode"]
