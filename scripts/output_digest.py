@@ -3,7 +3,12 @@
     python3 scripts/output_digest.py
 
 Run it in two checkouts: equal digests mean the two programs give
-byte-identical output on the benchmark's inputs. The inputs are those
+byte-identical output on the benchmark's inputs. ``output_digests.txt``
+next to it holds this program's four lines, and CI compares them:
+
+    python3 scripts/output_digest.py | diff scripts/output_digests.txt -
+
+A change that alters the output updates that file. The inputs are those
 of ``perfbench/workloads.py`` at seed 1:
 
 * ``parse-mix``: block 0, each sentence parsed with all readings, as the

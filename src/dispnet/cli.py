@@ -51,8 +51,7 @@ EXIT_CLOSED_PIPE = 128 + 13  # what a shell reports for a SIGPIPE death
 @dataclass
 class Reading:
     cover: tuple          # EntryMatch tuple for parse, () for prove
-    linking_index: int
-    verdict: object       # NetVerdict
+    verdict: object       # NetVerdict; its ps.index is the linking's
     proof: object         # NDProof
 
 
@@ -64,7 +63,6 @@ class ParseResult:
     linkings_tried: int = 0
     pruned: int = 0       # linkings tried that position unification skipped
     nets_found: int = 0
-    step_counts: list = field(default_factory=list)
     errors: list = field(default_factory=list)
 
 
@@ -77,7 +75,13 @@ def run_sequent(hyp_pairs, goal_formula, sig, expected=None, mode="parse",
     that reading is exact (``Anchors.of_terms``): a bare ``prove``
     sequent, whose fresh one-word terms are the tokens of the string the
     comb must spell, is pruned like a parsed sentence. An unbalanced
-    sequent is reported as a ``CountMismatch`` without being unfolded."""
+    sequent is reported as a ``CountMismatch`` without being unfolded.
+
+    Each net is one reading; readings are not compared. A proof is read
+    off the frame along its linking, and the frame, a forest of formula
+    trees rooted at the fixed hypothesis and goal vertices, has no
+    symmetry that fixes those roots, so two linkings extract to two
+    different proofs."""
     result = ParseResult(tokens=[], goal=goal_formula)
     hypotheses = [f for _, f in hyp_pairs]
     mismatches = sequent_mismatches(hypotheses, goal_formula)
@@ -90,7 +94,6 @@ def run_sequent(hyp_pairs, goal_formula, sig, expected=None, mode="parse",
     if anchors is None and want is not None:
         anchors = Anchors.of_terms(sig, hyp_pairs, goal_formula, want)
     stream = enumerate_linkings(frame, anchors)
-    seen = []
     contracted = 0
     for ps in stream:
         verdict = is_proof_net(ps, terms, sig, want)
@@ -100,13 +103,8 @@ def run_sequent(hyp_pairs, goal_formula, sig, expected=None, mode="parse",
             result.nets_found += 1
         if not verdict.is_net:
             continue
-        result.step_counts.append(len(verdict.trace.steps))
-        proof = nd.extract_nd(verdict, sig)
-        canon = nd.canonical_proof(proof)
-        if any(canon == c for c in seen):
-            continue
-        seen.append(canon)
-        result.readings.append(Reading(cover, ps.index, verdict, proof))
+        result.readings.append(Reading(cover, verdict,
+                                       nd.extract_nd(verdict, sig)))
         if not all_readings:
             break
     else:
@@ -131,7 +129,6 @@ def run_parse(grammar, tokens, goal=None, mode="parse", all_readings=False):
         combined.linkings_tried += sub.linkings_tried
         combined.pruned += sub.pruned
         combined.nets_found += sub.nets_found
-        combined.step_counts.extend(sub.step_counts)
         combined.errors.extend(sub.errors)
         combined.readings.extend(sub.readings)
         if combined.readings and not all_readings:
@@ -199,7 +196,7 @@ def _fill_terms(hyp_pairs, goal_term, goal, sig):
 
 def _reading_record(r, latex=False, trace=False):
     rec = {
-        "linking": r.linking_index,
+        "linking": r.verdict.ps.index,
         "final": str(r.verdict.comb_term),
         "proof": nd.nd_to_sexpr(r.proof),
     }
@@ -234,7 +231,7 @@ def _result_json(result, mode, latex, trace):
             "pruned": result.pruned,
             "nets": result.nets_found,
             "readings": len(result.readings),
-            "steps": result.step_counts,
+            "steps": [len(r.verdict.trace.steps) for r in result.readings],
         },
         "errors": [str(e) for e in result.errors],
     }
@@ -248,7 +245,7 @@ def _print_result(result, mode, latex, trace, out=None):
     for e in result.errors:
         w(f"error: atom count mismatch: {e}\n")
     for n, r in enumerate(result.readings, 1):
-        w(f"reading {n} (linking {r.linking_index}):\n")
+        w(f"reading {n} (linking {r.verdict.ps.index}):\n")
         if r.cover:
             w("  cover: " + "  ".join(str(m.entry) for m in r.cover) + "\n")
         w(f"  comb: {r.verdict.comb_term} : {fm.format_formula(result.goal)}\n")

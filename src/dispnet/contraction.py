@@ -74,7 +74,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import proofstructure as pstruct
-from .aps import APS, GroupSep, Pt, is_separator, to_aps
+from .aps import APS, GroupSep, IllFormedComb, Pt, is_separator, to_aps
 from .terms import SEP, Mode, StringTerm
 
 
@@ -478,12 +478,15 @@ def contract(aps: APS, select=None) -> ContractionTrace:
 class NetVerdict:
     """Outcome of the proof-net check for one axiom linking."""
 
-    is_net: bool
     kind: str                 # "net" | "stuck" | "string_mismatch"
     ps: "pstruct.ProofStructure"
     hyp_terms: dict
     trace: ContractionTrace
     comb_term: StringTerm | None = None
+
+    @property
+    def is_net(self) -> bool:
+        return self.kind == "net"
 
 
 def is_proof_net(ps, hyp_terms, sig, expected=None) -> NetVerdict:
@@ -492,19 +495,17 @@ def is_proof_net(ps, hyp_terms, sig, expected=None) -> NetVerdict:
     With ``expected`` set (parsing mode), the final comb row must also
     equal that string term; without it, contracting to a comb is
     enough."""
-    from .aps import IllFormedComb
-
     try:
         aps = to_aps(ps, hyp_terms, sig)
     except IllFormedComb as exc:
         empty = ContractionTrace([], [StuckReport(-1, "+", str(exc))], 0)
-        return NetVerdict(False, "stuck", ps, hyp_terms, empty)
+        return NetVerdict("stuck", ps, hyp_terms, empty)
     trace = contract(aps)
     if not trace.contracted:
-        return NetVerdict(False, "stuck", ps, hyp_terms, trace)
+        return NetVerdict("stuck", ps, hyp_terms, trace)
     comb = aps.final_comb()
     term = aps.final_term()
     assert comb.concl == ps.goal, "final comb does not conclude in the goal"
     if expected is not None and term != expected:
-        return NetVerdict(False, "string_mismatch", ps, hyp_terms, trace, term)
-    return NetVerdict(True, "net", ps, hyp_terms, trace, term)
+        return NetVerdict("string_mismatch", ps, hyp_terms, trace, term)
+    return NetVerdict("net", ps, hyp_terms, trace, term)

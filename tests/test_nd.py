@@ -3,13 +3,14 @@ from itertools import count
 
 import pytest
 
-from conftest import LAMBEK_SIG, prove_lambek
-from dispnet import nd
+from conftest import CORPUS_SIG, LAMBEK_SIG, prove_lambek
+from dispnet import cli, nd
 from dispnet.contraction import is_proof_net
-from dispnet.formula import Atom, Signature, parse_formula
+from dispnet.formula import Atom, Signature, parse_formula, random_formula
 from dispnet.nd import (
     LambekOracle,
     NDError,
+    canonical_proof,
     check_nd,
     down_e,
     extract_nd,
@@ -19,9 +20,10 @@ from dispnet.nd import (
     nd_from_sexpr,
     nd_to_sexpr,
     net_of_nd,
+    open_hyps,
     open_leaves_in_order,
+    over_e,
     over_i,
-    proofs_equal,
     prod_e,
     prod_i,
     random_nd_proof,
@@ -33,6 +35,7 @@ from dispnet.nd import (
     wrap_e,
     wrap_i,
 )
+from dispnet.proofstructure import linking_count, sequent_mismatches, unfold
 from dispnet.terms import FIRST, FreshVars, parse_term
 
 SIG = Signature({"np": 0, "n": 0, "s": 0, "j": 1})
@@ -83,6 +86,27 @@ def test_double_use_detected():
     h = hyp(0, T("a"), F("np"))
     p = prod_i(h, h)
     assert any("twice" in v for v in check_nd(p, SIG))
+
+
+def test_label_of_a_discharged_hypothesis_used_again_detected():
+    # one leaf labelled 1 is discharged by /I, the other stays open;
+    # open_hyps sees no clash, but the proof has two open hypotheses
+    q = hyp(1, T("q"), F("s"))
+    p = over_e(over_i(1, prod_i(hyp(0, T("a"), F("np")), q)), q)
+    assert list(open_hyps(p)) == [0, 1]
+    assert check_nd(p, SIG) == ["hypothesis label 1 used twice"]
+    with pytest.raises(NDError, match="hypothesis label 1 used twice"):
+        net_of_nd(p, SIG)
+
+
+def test_discharge_label_reused_in_another_scope_checks():
+    # label 1 is discharged twice, in two separate /I scopes, and never open
+    left = over_i(1, prod_i(hyp(0, T("a"), F("np")), hyp(1, T("q"), F("s"))))
+    right = over_i(1, prod_i(hyp(2, T("b"), F("np")), hyp(1, T("r"), F("s"))))
+    p = prod_i(left, right)
+    assert check_nd(p, SIG) == []
+    assert [h.label for h in open_leaves_in_order(p)] == [0, 2]
+    assert_round_trip(p, SIG)
 
 
 def test_factories_reject_bad_arithmetic():
@@ -351,8 +375,48 @@ def test_proofs_equal_mod_discharge():
         body = prod_i(a, b)
         return over_i(b.label, body)
 
-    assert proofs_equal(build(50), build(90))
-    assert not proofs_equal(build(50), hyp(0, T("a"), F("np")))
+    assert canonical_proof(build(50)) == canonical_proof(build(90))
+    assert canonical_proof(build(50)) != canonical_proof(hyp(0, T("a"), F("np")))
+
+
+def distinct_readings(hyp_pairs, goal, sig, expected, mode):
+    """The number of readings of one sequent's stream, after checking
+    that no two of them are the same proof up to discharge labels: every
+    net is a reading, with no dedupe, so extraction must be injective."""
+    result = cli.run_sequent(hyp_pairs, goal, sig, expected, mode,
+                             all_readings=True)
+    proofs = [canonical_proof(r.proof) for r in result.readings]
+    assert len(set(proofs)) == len(proofs), [nd_to_sexpr(p) for p in proofs]
+    return len(proofs)
+
+
+@pytest.mark.parametrize("mode, floor", [("net", 800), ("parse", 250)])
+def test_extraction_is_injective_on_corpus(proof_corpus, mode, floor):
+    readings = 0
+    for proof, *_ in proof_corpus:
+        hyp_pairs = [(h.term, h.formula) for h in open_leaves_in_order(proof)]
+        frame = unfold([f for _, f in hyp_pairs], proof.formula, CORPUS_SIG)
+        if linking_count(frame) <= 200:
+            readings += distinct_readings(hyp_pairs, proof.formula, CORPUS_SIG,
+                                          proof.term, mode)
+    assert readings > floor
+
+
+def test_extraction_is_injective_on_random_d_sequents():
+    sig = Signature({"np": 0, "s": 0, "j": 1})
+    rng = random.Random(5)
+    sequents = readings = 0
+    while sequents < 1500:
+        hyps = [random_formula(rng, sig, 2) for _ in range(rng.randint(0, 3))]
+        goal = random_formula(rng, sig, 2)
+        if (sequent_mismatches(hyps, goal)
+                or linking_count(unfold(hyps, goal, sig)) > 50):
+            continue
+        sequents += 1
+        fresh = FreshVars("x")
+        hyp_pairs = [(fresh.term(sig.sort_of(f)), f) for f in hyps]
+        readings += distinct_readings(hyp_pairs, goal, sig, None, "net")
+    assert readings > 1000
 
 
 def test_latex_output():

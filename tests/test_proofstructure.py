@@ -159,7 +159,7 @@ def test_dump_stable():
 
 # One connective unfolded on each side: the link, and the formula of each
 # vertex in vertex-id order. Vertex numbering fixes the linking order, so
-# ``Reading.linking_index`` and the comb ids in traces depend on it.
+# ``Reading.verdict.ps.index`` and the comb ids in traces depend on it.
 UNFOLD_LAYOUT = [
     ("s/np", True, "tensor L/ [0 1] -> [2]", ["s/np", "np", "s", "n"]),
     ("s/np", False, "par R/ [1] -> [0 2] main=0", ["s/np", "s", "np"]),
