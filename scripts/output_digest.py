@@ -22,7 +22,10 @@ of ``perfbench/workloads.py`` at seed 1:
 * ``contraction``: every linking of each stored round-trip proof's
   sequent that has at most 300 linkings, decided by ``is_proof_net``
   against the proof's string: the verdict kind and the trace's
-  ``fmt()``, steps and stuck reports alike.
+  ``fmt()``, steps and stuck reports alike. The linkings come from
+  ``all_linkings`` of ``tests/support.py``, which lists them with
+  ``itertools`` in the order of the full stream and builds them with
+  ``realize``, so the records do not depend on what the search skips.
 
 dispnet is imported from this checkout's ``src``.
 """
@@ -34,8 +37,9 @@ import json
 import sys
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parent.parent
 sys.dont_write_bytecode = True  # leave no cache files in perfbench/
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads  # noqa: E402
 
@@ -78,6 +82,9 @@ def roundtrip_corpus():
 def contraction_verdicts():
     from dispnet import contraction, nd, proofstructure as pstruct
 
+    sys.path.insert(0, str(ROOT / "tests"))
+    from support import all_linkings
+
     work = workloads.RoundtripCorpus(SEED)
     for item in work.items:
         leaves = nd.open_leaves_in_order(item.proof)
@@ -86,7 +93,7 @@ def contraction_verdicts():
         if pstruct.linking_count(frame) > 300:
             continue
         terms = {v: h.term for v, h in zip(frame.hypotheses, leaves)}
-        for ps in pstruct.enumerate_linkings(frame):
+        for ps in all_linkings(frame):
             verdict = contraction.is_proof_net(ps, terms, work.sig, item.proof.term)
             yield verdict.kind + "\n" + verdict.trace.fmt()
 

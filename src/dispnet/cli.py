@@ -15,11 +15,12 @@ reading set as the human-readable report.
 ``--mode net`` accepts any linking whose abstract proof structure
 contracts to a comb; the default ``parse`` mode additionally requires
 the comb to spell the expected string (the sentence for ``parse``, the
-stated goal term for ``prove``). In ``parse`` mode, ``parse`` and
-``prove`` alike skip, before contraction, every linking whose string
-positions clash with that string (``stats.pruned``); ``prove`` does so
-whenever its terms read as tokens of the string, as a bare sequent's
-fresh terms always do.
+stated goal term for ``prove``). Both commands skip, before
+contraction, every linking with a position clash or cycle
+(``stats.pruned``). A cycle is checked in every mode. A position clash
+is checked in ``parse`` mode, where a linking's string positions must
+fit that string; ``prove`` checks it whenever its terms read as tokens
+of the string, as a bare sequent's fresh terms always do.
 """
 
 from __future__ import annotations
@@ -61,7 +62,8 @@ class ParseResult:
     goal: object
     readings: list = field(default_factory=list)
     linkings_tried: int = 0
-    pruned: int = 0       # linkings tried that position unification skipped
+    pruned: int = 0       # linkings tried that the search skipped:
+                          # position clash or cycle
     nets_found: int = 0
     errors: list = field(default_factory=list)
 

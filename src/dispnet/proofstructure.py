@@ -43,6 +43,16 @@ contains it can spell the sentence, so the search skips every such
 linking without contracting it. For the Lambek connectives this is the
 span constraint of Fowler (2009).
 
+With or without anchors, the search also skips every linking that
+closes a directed cycle in the frame oriented as an essential net
+(Lamarche, "Proof nets for intuitionistic linear logic: essential
+nets"): a tensor link points from each premiss to its conclusion, an R
+par link from its premiss to its main formula, an L par link (*, ok)
+from its compound to each of its parts, and an axiom link from its
+producer to its consumer. Such a cycle is a cycle in one Danos-Regnier
+switching (1989), so a linking that has one is no proof net, and its
+structure would only get stuck in contraction.
+
 A linking exists only if every atom has as many producers as consumers
 (van Benthem's count invariant). ``sequent_mismatches`` reads those
 counts off the formulas, so an unbalanced sequent is rejected before it
@@ -412,8 +422,13 @@ def enumerate_linkings(frame: ProofFrame, anchors: Anchors | None = None):
     With ``anchors``, each link of a producer to a consumer unifies
     their string positions (see ``place``); where two distinct constants
     meet, no linking below that choice can spell the anchored sentence,
-    and the search skips them all. Their places in the order are not
-    reused, so indexes stay those of the full stream.
+    and the search skips them all. With or without anchors, a producer
+    is not linked to a consumer that already reaches it along the
+    frame's essential-net edges and the axiom links chosen so far (see
+    the module docstring): the link would close a directed cycle, so no
+    linking below that choice is a proof net, and the search skips them
+    all too. The places of skipped linkings in the order are not reused,
+    so indexes stay those of the full stream.
 
     Raises CountMismatch immediately when some atom is unbalanced (the
     stream would be empty)."""
@@ -463,6 +478,8 @@ def enumerate_linkings(frame: ProofFrame, anchors: Anchors | None = None):
                 x = trail.pop()
                 parent[x] = x
 
+        succ = None     # built at the first link that positions allow
+        linked = {}     # producer -> consumer, the axiom links made so far
         n = len(consumers)
         pick = [-1] * n
         mark = [0] * n
@@ -481,12 +498,16 @@ def enumerate_linkings(frame: ProofFrame, anchors: Anchors | None = None):
                 mark[s] = len(trail)
             else:
                 used[j] = False
+                del linked[producers[j]]
                 undo(mark[s])
             for j in range(j + 1, len(producers)):
                 if used[j]:
                     continue
                 if pos is None or unify(pos[producers[j]], pos[consumers[s]]):
-                    break
+                    if succ is None:
+                        succ = _essential_edges(frame)
+                    if not _reaches(succ, linked, consumers[s], producers[j]):
+                        break
                 undo(mark[s])
                 index += below[s]
             else:
@@ -495,9 +516,43 @@ def enumerate_linkings(frame: ProofFrame, anchors: Anchors | None = None):
                 continue
             used[j] = True
             pick[s] = j
+            linked[producers[j]] = consumers[s]
             s += 1
 
     return stream()
+
+
+def _essential_edges(frame: ProofFrame) -> dict:
+    """The frame oriented as an essential net, as the successors of each
+    vertex: a tensor link's premisses point at its conclusion, an R par
+    link's premiss at its main formula, and an L par link's compound, its
+    premiss, at each of its parts. A vertex is the premiss of at most one
+    link, so it gets its successors from one link. No producer has any
+    here; its axiom link gives it one."""
+    succ = {}
+    for link in frame.links:
+        targets = ((link.main,) if link.kind == "par" and link.tag[0] == "R"
+                   else link.conclusions)
+        for v in link.premisses:
+            succ[v] = targets
+    return succ
+
+
+def _reaches(succ, linked, consumer, producer):
+    """Whether ``consumer`` reaches ``producer`` along the frame's edges
+    ``succ`` and the axiom links made so far (``linked``, producer to
+    consumer): linking the two would close a directed cycle."""
+    seen, stack = {consumer}, [consumer]
+    while stack:
+        v = stack.pop()
+        if v == producer:
+            return True
+        axiom = linked.get(v)
+        for w in succ.get(v, ()) if axiom is None else (axiom,):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return False
 
 
 def realize(frame: ProofFrame, linking, index=0) -> ProofStructure:

@@ -42,6 +42,7 @@ from dispnet.proofstructure import (
 from dispnet.terms import parse_term
 
 from conftest import CORPUS_SIG, LAMBEK_SIG, prove_lambek
+from support import all_linkings, has_cycle
 
 RING_UP = """\
 np 0
@@ -287,7 +288,7 @@ def test_criterion_7_negative_controls():
     expected = parse_term("mary+rang+everyone+up")
     verdicts = [
         is_proof_net(ps, terms, grammar.signature, expected)
-        for ps in enumerate_linkings(frame)
+        for ps in all_linkings(frame)
     ]
     losers = [v for v in verdicts if not v.is_net]
     assert len(losers) == 3
@@ -300,5 +301,10 @@ def test_criterion_7_negative_controls():
             assert any("comb" in r.reason for r in v.trace.stuck)
         else:
             assert v.comb_term not in (None, expected)
+    # the two stuck linkings close a cycle, and the search skips them
+    cyclic = {v.ps.linking for v in verdicts if has_cycle(frame, v.ps.linking)}
+    assert cyclic == {v.ps.linking for v in losers if v.kind == "stuck"}
+    assert not cyclic & {ps.linking for ps in enumerate_linkings(frame)}
     report(7, "np |- s rejected with per-atom CountMismatch; the 3 losing "
-              "linkings rejected with stuck-pattern / word-order diagnostics")
+              "linkings rejected with stuck-pattern / word-order diagnostics, "
+              "the 2 stuck ones skipped by the search as cyclic")

@@ -12,10 +12,11 @@ from dispnet.contraction import is_proof_net
 from dispnet.formula import Atom, Over, Prod, Signature, Under
 from dispnet.lexicon import load_grammar
 from dispnet.nd import nd_to_sexpr
-from dispnet.proofstructure import sequent_mismatches
+from dispnet.proofstructure import sequent_mismatches, unfold
 from dispnet.terms import SEP, StringTerm
 
-from conftest import prove_lambek
+from conftest import LAMBEK_SIG, prove_lambek
+from support import all_linkings, has_cycle
 
 RING_UP = """\
 np 0
@@ -108,9 +109,11 @@ def test_parse_json_deterministic(grammar_file, capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     data = json.loads(out1)
-    # the linking whose comb spells a wrong word order is pruned by
-    # position unification before contraction, so one net is left
-    assert data["stats"] == {"linkings": 4, "pruned": 2, "nets": 1,
+    # before contraction, position unification skips the linking whose
+    # comb spells a wrong word order and one of the two linkings that
+    # cross the s atoms; both crossed linkings close a cycle, so the
+    # other is skipped too, and one net is left
+    assert data["stats"] == {"linkings": 4, "pruned": 3, "nets": 1,
                              "readings": 1, "steps": [5]}
     assert data["readings"][0]["final"] == "mary+rang+everyone+up"
     assert any(s["rule"] == "^>" for s in data["readings"][0]["trace"])
@@ -376,11 +379,20 @@ stats: linkings=2 nets=2 readings=1
 ], ids=["repeated-word", "empty-piece"])
 def test_prove_without_exact_anchors_contracts_every_linking(
         sequent, expected, sig_file, capsys):
+    # every linking is contracted but those that close a cycle
     code, out, _ = run(["prove", sig_file, sequent, "--all"], capsys)
     assert code == 0
     assert out == expected
     code, out, _ = run(["prove", sig_file, sequent, "--all", "--json"], capsys)
-    assert json.loads(out)["stats"]["pruned"] == 0
+    hyp_pairs, goal, *_ = cli.parse_sequent(sequent)
+    assert json.loads(out)["stats"]["pruned"] == cyclic_linkings(
+        [f for _, f in hyp_pairs], goal, Signature.parse(SIG))
+
+
+def cyclic_linkings(hyps, goal, sig):
+    """How many linkings of the sequent's frame close a cycle."""
+    frame = unfold(hyps, goal, sig)
+    return sum(has_cycle(frame, ps.linking) for ps in all_linkings(frame))
 
 
 def random_lambek_formula(rng, conn):
@@ -416,7 +428,10 @@ def test_derived_anchors_keep_readings_and_indexes(monkeypatch):
     plain = decide()
     assert [a[:2] for a in anchored] == [p[:2] for p in plain]
     assert sum(1 for readings, *_ in plain if readings) > 20
-    assert sum(p for *_, p in plain) == 0 < sum(p for *_, p in anchored)
+    # without anchors only the linkings that close a cycle are skipped
+    assert [p for *_, p in plain] == [cyclic_linkings(hyps, goal, LAMBEK_SIG)
+                                      for hyps, goal in sequents]
+    assert sum(p for *_, p in plain) < sum(p for *_, p in anchored)
 
 
 NP_S_MISMATCH = ("np: 1 producer(s) vs 0 consumer(s), "

@@ -16,6 +16,8 @@ from dispnet.nd import open_leaves_in_order
 from dispnet.proofstructure import enumerate_linkings, linking_count, unfold
 from dispnet.terms import parse_term
 
+from support import all_linkings
+
 SIG = Signature({"a": 0, "b": 0, "np": 0, "s": 0, "j": 1, "k2": 2})
 
 RING_UP_SIG = Signature({"np": 0, "s": 0})
@@ -28,22 +30,22 @@ RING_UP_TERMS = ["mary", "rang+1+up", "everyone"]
 
 
 def ring_up_candidates():
+    """Every linking of the ring-up frame, those the search skips
+    included, and the hypothesis terms."""
     frame = unfold(RING_UP_HYPS, Atom("s"), RING_UP_SIG)
     terms = {h: parse_term(t) for h, t in zip(frame.hypotheses, RING_UP_TERMS)}
-    return list(enumerate_linkings(frame)), terms
+    return list(all_linkings(frame)), terms
 
 
-def prove(hyp_texts, goal_text, expect=None, sig=SIG, structures=False):
-    """Pipeline helper: sequent in concrete syntax, explicit terms."""
+def prove(hyp_texts, goal_text, expect=None, sig=SIG):
+    """Pipeline helper: sequent in concrete syntax, explicit terms; the
+    verdict of every linking, those the search skips included."""
     hyps = [(parse_term(t), parse_formula(f)) for t, f in hyp_texts]
     goal = parse_formula(goal_text)
     frame = unfold([f for _, f in hyps], goal, sig)
     terms = {h: t for h, (t, _) in zip(frame.hypotheses, hyps)}
     expected = parse_term(expect) if expect else None
-    out = []
-    for ps in enumerate_linkings(frame):
-        out.append(is_proof_net(ps, terms, sig, expected))
-    return out
+    return [is_proof_net(ps, terms, sig, expected) for ps in all_linkings(frame)]
 
 
 def test_ring_up_winning_linking():
@@ -266,15 +268,15 @@ def rescan_contract(aps, select=None):
 
 def corpus_linkings(proof_corpus, limit=300):
     """The abstract proof structure of every linking of each corpus
-    proof's sequent that has at most ``limit`` linkings, stuck ones
-    included."""
+    proof's sequent that has at most ``limit`` linkings, stuck ones and
+    those the search skips included."""
     for proof, *_ in proof_corpus:
         leaves = open_leaves_in_order(proof)
         frame = unfold([h.formula for h in leaves], proof.formula, CORPUS_SIG)
         if linking_count(frame) > limit:
             continue
         terms = {v: h.term for v, h in zip(frame.hypotheses, leaves)}
-        for ps in enumerate_linkings(frame):
+        for ps in all_linkings(frame):
             try:
                 yield to_aps(ps, terms, CORPUS_SIG)
             except IllFormedComb:

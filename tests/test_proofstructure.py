@@ -3,11 +3,12 @@ import random
 import time
 import tracemalloc
 from dataclasses import replace
-from itertools import permutations, product
+from itertools import islice, permutations
 
 import pytest
 
 from conftest import CORPUS_SIG
+from support import all_linkings, has_cycle, itertools_order, positions_clash
 from dispnet.aps import IllFormedComb, to_aps
 from dispnet.contraction import is_proof_net
 from dispnet.formula import (
@@ -31,7 +32,7 @@ from dispnet.proofstructure import (
     sequent_mismatches,
     unfold,
 )
-from dispnet.terms import parse_term
+from dispnet.terms import FreshVars, parse_term
 
 SIG = Signature({"np": 0, "n": 0, "s": 0, "inf": 1})
 
@@ -63,7 +64,7 @@ def test_ring_up_frame_shape():
 
 def test_ring_up_linking_count():
     frame = ring_up_frame()
-    structures = list(enumerate_linkings(frame))
+    structures = list(all_linkings(frame))
     # independent count: product of factorials of per-atom multiplicities
     expected = math.prod(
         math.factorial(len(v)) for v in frame.producers.values()
@@ -74,6 +75,12 @@ def test_ring_up_linking_count():
     for ps in structures:
         assert check_structure(ps) == []
         assert len(ps.frame.hypotheses) == 3
+    # the two linkings that cross the s atoms close a cycle; the search
+    # streams the other two
+    acyclic = [ps.linking for ps in structures
+               if not has_cycle(frame, ps.linking)]
+    assert len(acyclic) == 2
+    assert [ps.linking for ps in enumerate_linkings(frame)] == acyclic
 
 
 def test_axiom_frame():
@@ -148,7 +155,9 @@ def test_enumeration_deterministic():
     first = [ps.linking for ps in enumerate_linkings(frame)]
     second = [ps.linking for ps in enumerate_linkings(ring_up_frame())]
     assert first == second
-    assert len(set(first)) == 4
+    assert len(set(first)) == 2
+    assert set(first) == {ps.linking for ps in all_linkings(frame)
+                          if not has_cycle(frame, ps.linking)}
 
 
 def test_dump_stable():
@@ -290,17 +299,6 @@ def test_linkings_match_factorial_product_randomly():
     assert checked > 5
 
 
-def itertools_order(frame):
-    """Reference stream order: one producer permutation per atom, atoms
-    in name order, the last atom's permutation varying fastest."""
-    names = sorted(frame.producers)
-    consumers = [sorted(frame.consumers[a]) for a in names]
-    perms = [permutations(sorted(frame.producers[a])) for a in names]
-    for combo in product(*perms):
-        yield tuple(pair for cs, ps in zip(consumers, combo)
-                    for pair in zip(ps, cs))
-
-
 def test_stream_order_matches_itertools_reference():
     checked = 0
     for frame, expected in random_frames():
@@ -327,7 +325,14 @@ def test_first_linking_is_lazy():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert ps.index == 0
+    # the first linking of the full stream closes a cycle; the one
+    # streamed is acyclic and keeps its place in the full stream
+    first = tuple(zip(sorted(frame.producers["np"]), sorted(frame.consumers["np"])))
+    assert has_cycle(frame, first)
+    assert not has_cycle(frame, ps.linking)
+    assert [c for _, c in ps.linking] == sorted(frame.consumers["np"])
+    assert (next(islice(permutations(sorted(frame.producers["np"])), ps.index, None))
+            == tuple(p for p, _ in ps.linking))
     assert elapsed < 1.0
     assert peak < 5 * 2 ** 20
 
@@ -354,9 +359,11 @@ def test_position_pass_ring_up():
 
 
 def test_anchored_stream_keeps_full_stream_indexes():
-    full = list(enumerate_linkings(ring_up_frame()))
+    full = list(all_linkings(ring_up_frame()))
     kept = list(enumerate_linkings(ring_up_frame(), RING_UP_ANCHORS))
-    assert len(kept) == 2
+    # positions skip the wrong word order and one crossed linking, and
+    # the other crossed linking closes a cycle
+    assert len(kept) == 1
     for ps in kept:
         assert full[ps.index].linking == ps.linking
 
@@ -422,6 +429,60 @@ def test_derived_anchors_keep_every_net_on_corpus(proof_corpus):
         assert nets.items() <= kept.items(), str(proof.term)
         checked += 1
     assert checked > 100
+
+
+def small_d_frames():
+    """The frames of 400 seeded random balanced sequents over the corpus
+    signature, with at most 50 linkings each."""
+    rng = random.Random(5)
+    count = 400
+    while count:
+        hyps = [random_formula(rng, CORPUS_SIG, 3) for _ in range(rng.randint(1, 3))]
+        goal = random_formula(rng, CORPUS_SIG, 3)
+        if not sequent_mismatches(hyps, goal):
+            frame = unfold(hyps, goal, CORPUS_SIG)
+            if linking_count(frame) <= 50:
+                count -= 1
+                yield frame
+
+
+def test_search_skips_exactly_the_cyclic_linkings(proof_corpus):
+    """The stream is the full stream less every linking that closes a
+    directed cycle (``has_cycle``) and, with anchors, every linking whose
+    positions clash, each at its index in the full stream; and every
+    linking with a cycle is stuck."""
+    cases = []  # signature, frame, hypothesis terms, expected string, anchors
+    for proof, *_ in proof_corpus:
+        leaves, anchors = anchors_of(proof)
+        frame = unfold([h.formula for h in leaves], proof.formula, CORPUS_SIG)
+        if linking_count(frame) <= 300:
+            terms = {v: h.term for v, h in zip(frame.hypotheses, leaves)}
+            cases.append((CORPUS_SIG, frame, terms, proof.term, None))
+            cases.append((CORPUS_SIG, frame, terms, proof.term, anchors))
+    fresh = FreshVars()
+    frames = ([(SIG, frame) for frame, _ in random_frames()]
+              + [(CORPUS_SIG, frame) for frame in small_d_frames()])
+    for sig, frame in frames:
+        sort = {v: sig.sort_of(x.formula) for v, x in frame.vertices.items()}
+        terms = {v: fresh.term(sort[v]) for v in frame.hypotheses}
+        cases.append((sig, frame, terms, fresh.term(sort[frame.goal]), None))
+
+    linkings = dropped = 0
+    for sig, frame, terms, expected, anchors in cases:
+        reference = [ps for ps in all_linkings(frame) if anchors is None
+                     or not positions_clash(frame, anchors, ps.linking)]
+        cyclic = [has_cycle(frame, ps.linking) for ps in reference]
+        assert ([(ps.index, ps.linking) for ps in enumerate_linkings(frame, anchors)]
+                == [(ps.index, ps.linking)
+                    for ps, cycle in zip(reference, cyclic) if not cycle])
+        if anchors is None:
+            for ps, cycle in zip(reference, cyclic):
+                if cycle:
+                    assert is_proof_net(ps, terms, sig, expected).kind == "stuck"
+                    assert is_proof_net(ps, terms, sig).kind == "stuck"
+            linkings += len(reference)
+            dropped += sum(cyclic)
+    assert len(cases) > 900 and linkings > 10000 and dropped > linkings / 2
 
 
 def copying_realize(frame, linking):
