@@ -30,6 +30,16 @@ eager cross link could consume a block separator that a pending par
 link still needs bare, wrecking confluence. A marked separator whose
 par link has fired is ordinary string material.
 
+A point is named by its ``int`` id, and so is an element (comb, cross
+link, par link). Points keep the ids of the vertices they stand for;
+one counter, which starts above every such point, numbers the elements
+and the fresh tether points, so no two points or elements share an id. A
+comb row holds point ids, words (``str``) and separators
+(``Separator``, ``GroupSep``): ``type(item) is int`` tells a point.
+The role maps ``concl_of`` and ``premiss_at`` give, for a point, the
+id of the element it concludes or is a premiss of; ``eid in
+aps.combs`` tells a comb from a link.
+
 A comb has any number of premisses and one conclusion; no premiss
 equals the conclusion and no item occurs twice as a premiss. The sort
 of a comb row is the sum of its item sorts (words 0, separators 1,
@@ -56,16 +66,6 @@ class IllFormedComb(ValueError):
 
 
 @dataclass(frozen=True)
-class Pt:
-    """Reference to a point, usable as a comb row item."""
-
-    pid: int
-
-    def __repr__(self):
-        return f"v{self.pid}"
-
-
-@dataclass(frozen=True)
 class GroupSep:
     """A separator belonging to a tether group: the ``index``-th
     separator (1-based) of group ``group`` of par link ``par``."""
@@ -82,10 +82,18 @@ def is_separator(item) -> bool:
     return isinstance(item, (Separator, GroupSep))
 
 
+def show_item(item) -> str:
+    """A row item as dumps and traces print it: ``v12`` for a point, a
+    word as it is, ``1`` or ``1[p.g.i]`` for a separator."""
+    if type(item) is int:
+        return f"v{item}"
+    return item if isinstance(item, str) else repr(item)
+
+
 @dataclass
 class Comb:
     cid: int
-    row: list  # items: Pt | word str | SEP
+    row: list  # items: point id | word str | Separator | GroupSep
     concl: int
 
 
@@ -96,7 +104,6 @@ class CrossLink:
     left: int
     right: int
     concl: int
-    source: int  # index of the originating proof-structure link
 
 
 @dataclass
@@ -107,19 +114,19 @@ class ParNode:
     premiss: int
     main: int  # equals premiss for "*" and "o"
     groups: list  # one ordered tether-point list per auxiliary input
-    source: int
+    source: int  # index of the originating proof-structure link
 
 
 class APS:
     def __init__(self):
-        self.points = {}  # pid -> sort
-        self.combs = {}
-        self.crosses = {}
-        self.pars = {}
-        self.concl_of = {}   # pid -> ("comb", cid) | ("cross", tid) | ("par", pid)
-        self.premiss_at = {}  # pid -> ("comb", cid) | ("cross", tid, side) | ("par", pid)
+        self.points = {}      # point id -> sort
+        self.combs = {}       # comb id -> Comb
+        self.crosses = {}     # cross link id -> CrossLink
+        self.pars = {}        # par link id -> ParNode
+        self.concl_of = {}    # point id -> id of the element concluding it
+        self.premiss_at = {}  # point id -> id of the element it is a premiss of
         self.conclusion = None
-        self._next = 0
+        self._next = 0        # next element or tether point id
 
     # -- construction helpers -------------------------------------------
 
@@ -133,7 +140,7 @@ class APS:
         self.points[pid] = sort
 
     def add_comb(self, row, concl):
-        if Pt(concl) in row:
+        if concl in row:
             raise IllFormedComb(
                 f"comb conclusion v{concl} is one of its own premisses"
             )
@@ -141,28 +148,28 @@ class APS:
         comb = Comb(cid, list(row), concl)
         self.combs[cid] = comb
         assert concl not in self.concl_of, f"point {concl} already produced"
-        self.concl_of[concl] = ("comb", cid)
+        self.concl_of[concl] = cid
         for it in row:
-            if isinstance(it, Pt):
-                assert it.pid not in self.premiss_at
-                self.premiss_at[it.pid] = ("comb", cid)
+            if type(it) is int:
+                assert it not in self.premiss_at
+                self.premiss_at[it] = cid
         return comb
 
-    def add_cross(self, mode, left, right, concl, source):
+    def add_cross(self, mode, left, right, concl):
         tid = self.fresh_id()
-        self.crosses[tid] = CrossLink(tid, mode, left, right, concl, source)
-        self.concl_of[concl] = ("cross", tid)
-        self.premiss_at[left] = ("cross", tid, 0)
-        self.premiss_at[right] = ("cross", tid, 1)
+        self.crosses[tid] = CrossLink(tid, mode, left, right, concl)
+        self.concl_of[concl] = tid
+        self.premiss_at[left] = tid
+        self.premiss_at[right] = tid
         return self.crosses[tid]
 
     def add_par(self, tag, mode, premiss, main, source):
         pid = self.fresh_id()
         par = ParNode(pid, tag, mode, premiss, main, [], source)
         self.pars[pid] = par
-        self.premiss_at[premiss] = ("par", pid)
+        self.premiss_at[premiss] = pid
         if main != premiss:
-            self.concl_of[main] = ("par", pid)
+            self.concl_of[main] = pid
         return par
 
     def tether(self, par, aux_vertex, sort):
@@ -171,26 +178,22 @@ class APS:
         for _ in range(sort + 1):
             q = self.fresh_id()
             self.add_point(q, 0)
-            self.concl_of[q] = ("par", par.pid)
+            self.concl_of[q] = par.pid
             points.append(q)
         group_idx = len(par.groups)
         row = []
         for i, q in enumerate(points):
             if i:
                 row.append(GroupSep(par.pid, group_idx, i))
-            row.append(Pt(q))
-        comb = Comb(self.fresh_id(), row, aux_vertex)
-        self.combs[comb.cid] = comb
-        self.concl_of[aux_vertex] = ("comb", comb.cid)
-        for q in points:
-            self.premiss_at[q] = ("comb", comb.cid)
+            row.append(q)
+        self.add_comb(row, aux_vertex)
         par.groups.append(points)
 
     # -- queries ---------------------------------------------------------
 
     def item_sort(self, item) -> int:
-        if isinstance(item, Pt):
-            return self.points[item.pid]
+        if type(item) is int:
+            return self.points[item]
         if is_separator(item):
             return 1
         return 0
@@ -216,8 +219,8 @@ class APS:
         comb = self.final_comb()
         items = []
         for it in comb.row:
-            if isinstance(it, Pt):
-                raise ValueError(f"final comb still references point {it.pid}")
+            if type(it) is int:
+                raise ValueError(f"final comb still references point {it}")
             # a surviving tether separator (its par link long gone) is
             # ordinary string material
             items.append(SEP if isinstance(it, GroupSep) else it)
@@ -228,7 +231,7 @@ class APS:
         other.points = dict(self.points)
         other.combs = {c.cid: Comb(c.cid, list(c.row), c.concl) for c in self.combs.values()}
         other.crosses = {
-            t.tid: CrossLink(t.tid, t.mode, t.left, t.right, t.concl, t.source)
+            t.tid: CrossLink(t.tid, t.mode, t.left, t.right, t.concl)
             for t in self.crosses.values()
         }
         other.pars = {
@@ -249,36 +252,12 @@ class APS:
         self.concl_of.pop(pid, None)
         self.premiss_at.pop(pid, None)
 
-    def validate(self):
-        """Internal consistency of the role maps; used by tests."""
-        problems = []
-        for c in self.combs.values():
-            if self.concl_of.get(c.concl) != ("comb", c.cid):
-                problems.append(f"comb {c.cid}: conclusion map broken")
-            seen = set()
-            for it in c.row:
-                if isinstance(it, Pt):
-                    if it.pid in seen:
-                        problems.append(f"comb {c.cid}: duplicate premiss {it}")
-                    seen.add(it.pid)
-                    if self.premiss_at.get(it.pid) != ("comb", c.cid):
-                        problems.append(f"comb {c.cid}: premiss map broken for {it}")
-            if c.concl in seen:
-                problems.append(f"comb {c.cid}: conclusion among premisses")
-            if self.row_sort(c.row) != self.points[c.concl]:
-                problems.append(f"comb {c.cid}: row sort != conclusion sort")
-        return problems
-
     def to_text(self) -> str:
         """Deterministic dump for golden tests and trace logs."""
-
-        def item(it):
-            return it if isinstance(it, str) else repr(it)
-
         lines = []
         for cid in sorted(self.combs):
             c = self.combs[cid]
-            lines.append(f"comb {cid}: [{' '.join(item(i) for i in c.row)}] -> v{c.concl}")
+            lines.append(f"comb {cid}: [{' '.join(map(show_item, c.row))}] -> v{c.concl}")
         for tid in sorted(self.crosses):
             t = self.crosses[tid]
             lines.append(f"cross {tid} x{t.mode}: (v{t.left}, v{t.right}) -> v{t.concl}")
@@ -302,15 +281,15 @@ def to_aps(ps: "pstruct.ProofStructure", hyp_terms: dict, sig) -> APS:
     places a consumer occurs, name its producer's point instead."""
     frame, find = ps.frame, ps.find
     aps = APS()
-    for vid in sorted(frame.vertices):
+    for vid, formula in enumerate(frame.formulas):
         if vid not in ps.producer_of:
-            aps.add_point(vid, sig.sort_of(frame.vertices[vid].formula))
+            aps.add_point(vid, sig.sort_of(formula))
     aps._next = max(aps.points, default=-1) + 1
     aps.conclusion = ps.goal
 
     for h in frame.hypotheses:
         term = hyp_terms[h]
-        formula = frame.vertices[h].formula
+        formula = frame.formulas[h]
         fsort = sig.sort_of(formula)
         if term.sort != fsort:
             raise SortMismatch(
@@ -328,9 +307,9 @@ def to_aps(ps: "pstruct.ProofStructure", hyp_terms: dict, sig) -> APS:
             pending_aux.append(
                 (par, [v for v in link.conclusions if v != link.main]))
         elif op in fm.MODED:
-            aps.add_cross(link.mode, *premisses, link.conclusions[0], idx)
+            aps.add_cross(link.mode, *premisses, link.conclusions[0])
         else:
-            aps.add_comb([Pt(v) for v in premisses], link.conclusions[0])
+            aps.add_comb(premisses, link.conclusions[0])
 
     for par, aux in pending_aux:
         for a in aux:

@@ -51,9 +51,12 @@ with result comb R, the consumed elements leave the table and only
 these are matched again: R; the combs and par links that conclude a
 point in R's row; the element whose premiss is R's conclusion.
 
-Why that is enough: a match reads only the role maps (``concl_of``,
-``premiss_at``) at its own points and the rows of the combs they
-name, plus the liveness of the par links whose reserved separators
+Why that is enough: the role maps ``concl_of`` and ``premiss_at`` give,
+for each point, the id of the element that concludes it and of the one
+it is a premiss of, and element ids never collide with point ids, so
+``eid in aps.combs`` tells whether a role is played by a comb. A match
+reads only the role maps at its own points and the rows of the combs
+they name, plus the liveness of the par links whose reserved separators
 sit in those rows. A step changes R's row and conclusion, moves the
 points of the consumed comb's row into R (their ``premiss_at`` now
 names R), and deletes consumed elements with their private points.
@@ -74,7 +77,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import proofstructure as pstruct
-from .aps import APS, GroupSep, IllFormedComb, Pt, is_separator, to_aps
+from .aps import APS, GroupSep, IllFormedComb, is_separator, show_item, to_aps
 from .terms import SEP, Mode, StringTerm
 
 
@@ -103,7 +106,7 @@ class ContractionStep:
     def row(self) -> str:
         """The row rendered for traces; only traces that are shown pay
         for it."""
-        return _render_row(self.items)
+        return " ".join(map(show_item, self.items))
 
 
 @dataclass
@@ -111,7 +114,6 @@ class StuckReport:
     par: int
     tag: str
     reason: str
-    source: int | None = None
 
     def fmt(self):
         return f"par {self.par} [{self.tag}]: {self.reason}"
@@ -153,7 +155,7 @@ def _block_items(par, group_idx):
     for i, q in enumerate(group):
         if i:
             row.append(SEP)
-        row.append(Pt(q))
+        row.append(q)
     return row
 
 
@@ -161,7 +163,7 @@ def _slice_matches(row, i, block) -> bool:
     if i < 0 or i + len(block) > len(row):
         return False
     for got, want in zip(row[i:i + len(block)], block):
-        if isinstance(want, Pt):
+        if type(want) is int:
             if got != want:
                 return False
         elif not is_separator(got):
@@ -228,17 +230,16 @@ def _designated_sep(aps, row, mode, insert_row):
 
 def _match_cross(aps, t):
     left = aps.concl_of.get(t.left)
-    if left is None or left[0] != "comb":
+    if left not in aps.combs:
         return None, f"left premiss v{t.left} is not a comb conclusion"
     right = aps.concl_of.get(t.right)
-    if right is None or right[0] != "comb":
+    if right not in aps.combs:
         return None, f"right premiss v{t.right} is not a comb conclusion"
-    kl = aps.combs[left[1]]
-    kr = aps.combs[right[1]]
-    pos, reason = _designated_sep(aps, kl.row, t.mode, kr.row)
+    kl = aps.combs[left]
+    pos, reason = _designated_sep(aps, kl.row, t.mode, aps.combs[right].row)
     if pos is None:
         return None, reason
-    return Redex("x", t.mode, t.tid, kl.cid, (right[1], pos)), None
+    return Redex("x", t.mode, t.tid, left, (right, pos)), None
 
 
 # The strip rules, with why each fails: the row is too short, or its
@@ -263,10 +264,9 @@ def _match_par(aps, p):
     stuck. Its rule strips its block off a comb or replaces a pattern
     of its blocks by one item; the module docstring gives both shapes."""
     if p.tag not in ("*", "o"):
-        producer = aps.concl_of.get(p.premiss)
-        if producer is None or producer[0] != "comb":
+        cid = aps.concl_of.get(p.premiss)
+        if cid not in aps.combs:
             return None, f"premiss v{p.premiss} is not a comb conclusion yet"
-        cid = producer[1]
     block = _block_items(p, 0)
     if p.tag in ("!", "o"):  # cut at the mode's separator, dropping it
         cut = 2 * p.mode.slot(len(p.groups[0]) - 1) - 1
@@ -285,9 +285,9 @@ def _match_par(aps, p):
             return None, bad_suffix
         return Redex(p.tag, p.mode, p.pid, cid, (len(prefix), len(suffix))), None
     first = p.groups[0][0]
-    at = aps.premiss_at[first][1]  # a tether point only ever sits in a comb row
+    at = aps.premiss_at[first]  # a tether point only ever sits in a comb row
     row = aps.combs[at].row
-    i = row.index(Pt(first))
+    i = row.index(first)
     pattern = block if p.tag == "^" else prefix + _block_items(p, 1) + suffix
     if not _slice_matches(row, i, pattern):
         return None, _REPLACES[p.tag].format(first)
@@ -313,9 +313,8 @@ def _match_element(aps: APS, eid: int):
     if comb is not None:
         consumer = aps.premiss_at.get(comb.concl)
         # a comb feeding itself (cyclic linking) is permanently stuck
-        if (consumer is not None and consumer[0] == "comb"
-                and consumer[1] != eid):
-            return Redex("+", None, eid, consumer[1])
+        if consumer in aps.combs and consumer != eid:
+            return Redex("+", None, eid, consumer)
         return None
     if eid in aps.crosses:
         return _match_cross(aps, aps.crosses[eid])[0]
@@ -332,20 +331,16 @@ def iter_redexes(aps: APS):
     return found, len(order)
 
 
-def _render_row(row):
-    return " ".join(it if isinstance(it, str) else repr(it) for it in row)
-
-
 def apply_redex(aps: APS, redex: Redex) -> ContractionStep:
     rule = redex.rule
     if rule == "+":
         k1 = aps.combs[redex.element]
         k2 = aps.combs[redex.comb]
-        pos = k2.row.index(Pt(k1.concl))
+        pos = k2.row.index(k1.concl)
         k2.row[pos:pos + 1] = k1.row
         for it in k1.row:
-            if isinstance(it, Pt):
-                aps.premiss_at[it.pid] = ("comb", k2.cid)
+            if type(it) is int:
+                aps.premiss_at[it] = k2.cid
         aps.drop_point(k1.concl)
         del aps.combs[k1.cid]
         return ContractionStep("+", (k1.cid,), k2.cid, k2.concl,
@@ -358,18 +353,16 @@ def apply_redex(aps: APS, redex: Redex) -> ContractionStep:
         kr = aps.combs[kr_cid]
         kl.row[pos:pos + 1] = kr.row
         for it in kr.row:
-            if isinstance(it, Pt):
-                aps.premiss_at[it.pid] = ("comb", kl.cid)
+            if type(it) is int:
+                aps.premiss_at[it] = kl.cid
         aps.drop_point(t.left)
         aps.drop_point(t.right)
         kl.concl = t.concl
-        aps.concl_of[t.concl] = ("comb", kl.cid)
+        aps.concl_of[t.concl] = kl.cid
         del aps.combs[kr.cid]
         del aps.crosses[t.tid]
         return ContractionStep(
-            redex.label(), (t.tid, kr.cid), kl.cid, kl.concl, tuple(kl.row),
-            t.source
-        )
+            redex.label(), (t.tid, kr.cid), kl.cid, kl.concl, tuple(kl.row))
 
     par = aps.pars[redex.element]
     comb = aps.combs[redex.comb]
@@ -379,14 +372,14 @@ def apply_redex(aps: APS, redex: Redex) -> ContractionStep:
         row[:] = row[plen:len(row) - slen]
     else:
         i, n = redex.data
-        row[i:i + n] = [SEP if rule == "^" else Pt(par.main)]
+        row[i:i + n] = [SEP if rule == "^" else par.main]
     if rule in ("*", "o"):
-        aps.premiss_at[par.main] = ("comb", comb.cid)
+        aps.premiss_at[par.main] = comb.cid
     else:
         # the comb now concludes in the par link's main vertex
         aps.drop_point(par.premiss)
         comb.concl = par.main
-        aps.concl_of[par.main] = ("comb", comb.cid)
+        aps.concl_of[par.main] = comb.cid
     for group in par.groups:
         for q in group:
             aps.drop_point(q)
@@ -402,14 +395,14 @@ def diagnose(aps: APS) -> list:
         p = aps.pars[pid]
         _, reason = _match_par(aps, p)
         tag = p.tag + (str(p.mode) if p.mode is not None else "")
-        reports.append(StuckReport(pid, tag, reason or "no failure recorded", p.source))
+        reports.append(StuckReport(pid, tag, reason or "no failure recorded"))
     for tid in sorted(aps.crosses):
         t = aps.crosses[tid]
         _, reason = _match_cross(aps, t)
-        reports.append(StuckReport(tid, f"x{t.mode}", reason or "blocked", t.source))
+        reports.append(StuckReport(tid, f"x{t.mode}", reason or "blocked"))
     for cid in sorted(aps.combs):
         c = aps.combs[cid]
-        if aps.premiss_at.get(c.concl) == ("comb", cid):
+        if aps.premiss_at.get(c.concl) == cid:
             reports.append(StuckReport(cid, "+", "comb feeds itself (cyclic linking)"))
     if not reports and len(aps.combs) > 1:
         reports.append(StuckReport(-1, "+", "disconnected combs remain"))
@@ -423,13 +416,13 @@ def _neighbours(aps: APS, cid: int) -> set:
     comb = aps.combs[cid]
     out = {cid}
     for it in comb.row:
-        if isinstance(it, Pt):
-            role = aps.concl_of.get(it.pid)
-            if role is not None and role[0] != "cross":
-                out.add(role[1])
+        if type(it) is int:
+            role = aps.concl_of.get(it)
+            if role is not None and role not in aps.crosses:
+                out.add(role)
     consumer = aps.premiss_at.get(comb.concl)
     if consumer is not None:
-        out.add(consumer[1])
+        out.add(consumer)
     return out
 
 

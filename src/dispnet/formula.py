@@ -216,10 +216,6 @@ class Signature:
         return "".join(f"{n} {s}\n" for n, s in self.sorts.items())
 
 
-def sort_of_formula(f, sig: Signature) -> int:
-    return sig.sort_of(f)
-
-
 def well_sorted(f, sig: Signature) -> list:
     """Check a formula recursively; returns a list of violations
     (empty when the formula is well-sorted). Never raises: violations

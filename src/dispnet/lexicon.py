@@ -1,9 +1,9 @@
 """Lexical entries, grammar files, and surface matching.
 
 A grammar file is a signature block (``atom sort`` lines) followed by
-entries of the form ``head := stringterm : formula``. Every entry must
-satisfy sort_of_string(string) == sort_of_formula(formula), and its
-string term must contain at least one word. Discontinuous idioms live
+entries of the form ``head := stringterm : formula``. In every entry
+the string term must have the formula's sort (``string.sort ==
+sig.sort_of(formula)``) and contain at least one word. Discontinuous idioms live
 under a single headword whose string term lists the surface pieces with
 separators, e.g. ``rang_up := rang+1+up : (np\\s)^>np``.
 

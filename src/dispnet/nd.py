@@ -26,7 +26,7 @@ Two constructions tie proofs to proof nets:
   its comb concluded when the trace fired it. Nothing is contracted
   again.
 
-``lambek_oracle`` is an independent cut-free sequent prover for the
+``LambekOracle`` is an independent cut-free sequent prover for the
 /, \\, * fragment over sort-0 atoms, used to cross-check derivability.
 """
 
@@ -40,12 +40,13 @@ from typing import Callable, NamedTuple
 from . import formula as fm
 from .aps import to_aps
 from .contraction import NetVerdict, contract
-from .proofstructure import ProofFrame, ProofStructure, Vertex, make_link
+from .proofstructure import ProofFrame, ProofStructure, make_link
 from .terms import (
     SEP,
     FreshVars,
     Mode,
     StringTerm,
+    TermError,
     concat,
     parse_mode,
     parse_term,
@@ -116,10 +117,6 @@ def sequent_of(p):
 
 
 # -- smart constructors --------------------------------------------------
-
-
-def hyp(label, term, formula) -> Hyp:
-    return Hyp(label, term, formula)
 
 
 def _subseq_at(items, block, start=0):
@@ -251,11 +248,8 @@ def down_i(mode, label, body) -> Rule:
 
 
 def wrap_i(mode, l, r) -> Rule:
-    try:
-        term = wrap(l.term, mode, r.term)
-    except ValueError as exc:
-        raise NDError(f"oI: {exc}") from exc
-    return Rule("oI", (l, r), term, fm.Wrap(l.formula, r.formula, mode), mode=mode)
+    return Rule("oI", (l, r), wrap(l.term, mode, r.term),
+                fm.Wrap(l.formula, r.formula, mode), mode=mode)
 
 
 def wrap_e(mode, labels, l, body) -> Rule:
@@ -268,10 +262,7 @@ def wrap_e(mode, labels, l, body) -> Rule:
     if not isinstance(f, fm.Wrap) or (f.left, f.right, f.mode) != (
             ha.formula, hb.formula, mode):
         raise NDError("oE: left premiss formula does not match the hypotheses")
-    try:
-        block = wrap(ha.term, mode, hb.term).items
-    except ValueError as exc:
-        raise NDError(f"oE: {exc}") from exc
+    block = wrap(ha.term, mode, hb.term).items
     i = _subseq_at(body.term.items, block)
     if i is None:
         raise NDError("oE: wrapped component string does not occur in the body")
@@ -309,14 +300,18 @@ RULES = {
 def apply_rule(name, mode, labels, kids) -> Rule:
     """Build the node of rule ``name`` through its constructor. Raises
     NDError for an unknown rule, a wrong number of premisses or
-    discharged labels, or a mode the premisses do not give."""
+    discharged labels, a mode the premisses do not give, or a term that
+    lacks the separator the rule wraps at or splits at."""
     if name not in RULES:
         raise NDError(f"unknown rule {name}")
     sexpr, premisses, discharges, make = RULES[name]
     if len(kids) != premisses or len(labels) != discharges:
         raise NDError(f"{sexpr}: takes {premisses} premiss(es) and {discharges} "
                       f"label(s), got {len(kids)} and {len(labels)}")
-    node = make(mode, labels, kids)
+    try:
+        node = make(mode, labels, kids)
+    except TermError as exc:
+        raise NDError(f"{name}: {exc}") from exc
     if node.mode != mode:
         raise NDError(f"{sexpr}: mode {mode} does not match the formula")
     return node
@@ -378,15 +373,13 @@ def net_of_nd(p, sig):
     if bad:
         raise NDError("; ".join(bad))
 
-    vertices = {}
+    formulas = []
     links = []
-    counter = count()
     hyp_vertex = {}
 
     def new_vertex(formula):
-        vid = next(counter)
-        vertices[vid] = Vertex(vid, formula)
-        return vid
+        formulas.append(formula)
+        return len(formulas) - 1
 
     def build(node):
         if isinstance(node, Hyp):
@@ -424,7 +417,7 @@ def net_of_nd(p, sig):
     goal = build(p)
     leaves = open_leaves_in_order(p)
     hyp_ids = [hyp_vertex[h.label] for h in leaves]
-    ps = ProofStructure(ProofFrame(vertices, links, hyp_ids, goal))
+    ps = ProofStructure(ProofFrame(formulas, links, hyp_ids, goal))
     terms = {hyp_vertex[h.label]: h.term for h in leaves}
     aps = to_aps(ps, terms, sig)
     trace = contract(aps.clone())
@@ -474,7 +467,7 @@ def extract_nd(verdict: NetVerdict, sig) -> "Proof":
             eliminations.setdefault(step.concl, []).append(frame.links[step.source])
 
     def build(v):
-        formula = frame.vertices[v].formula
+        formula = frame.formulas[v]
         link = concluded_by.get(v)
         if link is None:
             proof = Hyp(v, verdict.hyp_terms[v], formula)
@@ -680,10 +673,6 @@ class LambekOracle:
                         hyps[:i] + (h.left, h.right) + hyps[i + 1:], goal):
                     return True
         return False
-
-
-def lambek_oracle(hyps, goal, oracle=None) -> bool:
-    return (oracle or LambekOracle()).derivable(hyps, goal)
 
 
 # -- reading equality --------------------------------------------------------

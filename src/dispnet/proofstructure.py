@@ -1,11 +1,12 @@
 """Proof frames and proof structures.
 
 Unfolding decomposes the hypotheses (positively) and the goal
-(negatively) of a sequent into a proof frame: a set of formula
-occurrences connected by two-premiss/one-conclusion tensor links and
-one-premiss/two-conclusion par links. One rule gives every link. A
-formula with operator op gets the link L+op when it is positive and
-R+op when it is negative. An L link is a tensor for an implication
+(negatively) of a sequent into a proof frame: formula occurrences,
+the vertices, connected by two-premiss/one-conclusion tensor links and
+one-premiss/two-conclusion par links. A vertex is named by its id, the
+index of its formula in ``ProofFrame.formulas``. One rule gives every
+link. A formula with operator op gets the link L+op when it is positive
+and R+op when it is negative. An L link is a tensor for an implication
 (/, \\, ^k, !k) and a par for a product or wrap (*, ok); an R link is
 the other way round. An implication's result keeps the polarity and its
 argument flips it; the two parts of a product or wrap keep it. The one
@@ -19,7 +20,8 @@ Par links carry an arrow to their main formula, the compound. Unfolding
 bottoms out in atoms; positive atoms produce material, negative atoms
 consume it. A proof structure is a frame together with an axiom
 linking: a bijection, per atom name, between producer and consumer
-occurrences. It identifies each consumer with its producer, so every
+occurrences, held as the map ``producer_of`` from each consumer to its
+producer. It identifies each consumer with its producer, so every
 formula ends up the premiss of at most one link and the conclusion of
 at most one link. A consumer atom is only ever a link premiss or the
 goal, never a conclusion or a par link's main formula, so a structure
@@ -66,12 +68,6 @@ from dataclasses import dataclass, field
 
 from . import formula as fm
 from .terms import Mode
-
-
-@dataclass(frozen=True)
-class Vertex:
-    vid: int
-    formula: "fm.Formula"
 
 
 @dataclass(frozen=True)
@@ -166,7 +162,10 @@ class CountMismatch(ValueError):
 
 @dataclass
 class ProofFrame:
-    vertices: dict
+    """The links of a sequent over its vertices 0 to n-1, numbered in
+    the order they were made; a vertex id indexes ``formulas``."""
+
+    formulas: list  # vertex id -> formula
     links: list
     hypotheses: list
     goal: int
@@ -182,16 +181,16 @@ class ProofFrame:
 
 @dataclass
 class ProofStructure:
-    """A proof frame under an axiom linking. The frame is shared by
-    every linking of its stream and never changed: ``find`` maps a
-    linked consumer vertex to its producer and every other vertex to
-    itself, and readers pass link premisses and the goal through it.
-    A structure with the empty linking is its frame as it stands, as
+    """A proof frame under an axiom linking, held only as ``producer_of``
+    (consumer vertex to producer vertex). The frame is shared by every
+    linking of its stream and never changed: ``find`` maps a linked
+    consumer vertex to its producer and every other vertex to itself,
+    and readers pass link premisses and the goal through it. A
+    structure with the empty linking is its frame as it stands, as
     ``nd.net_of_nd`` builds it."""
 
     frame: ProofFrame
-    linking: tuple = ()  # (producer vid, consumer vid) pairs
-    index: int = 0       # place of the linking in the frame's full stream
+    index: int = 0  # place of the linking in the frame's full stream
     producer_of: dict = field(default_factory=dict)  # consumer -> producer
 
     def find(self, vid):
@@ -205,20 +204,17 @@ class ProofStructure:
 def unfold(hypotheses, goal, sig) -> ProofFrame:
     """Build the proof frame of a sequent by leftmost-outermost
     decomposition. All formulas are assumed well-sorted under sig."""
-    vertices = {}
+    formulas = []
     links = []
     producers = {}
     consumers = {}
-    counter = 0
 
     def new_vertex(f):
-        nonlocal counter
-        vertices[counter] = Vertex(counter, f)
-        counter += 1
-        return counter - 1
+        formulas.append(f)
+        return len(formulas) - 1
 
     def expand(vid, positive):
-        f = vertices[vid].formula
+        f = formulas[vid]
         if type(f) is fm.Atom:
             side = producers if positive else consumers
             side.setdefault(f.name, []).append(vid)
@@ -240,7 +236,7 @@ def unfold(hypotheses, goal, sig) -> ProofFrame:
     goal_id = new_vertex(goal)
     expand(goal_id, False)
 
-    return ProofFrame(vertices, links, hyp_ids, goal_id, producers, consumers)
+    return ProofFrame(formulas, links, hyp_ids, goal_id, producers, consumers)
 
 
 def count_mismatches(frame: ProofFrame) -> dict:
@@ -404,8 +400,8 @@ def place(frame: ProofFrame, anchors: Anchors):
 
         vids = link.vertices()
         top, x, y = (vids[i] for i in _SHAPE[link.tag])
-        pos[x], pos[y] = _split(pos[top], frame.vertices[top].formula,
-                                anchors.sig, fresh)
+        pos[x], pos[y] = _split(pos[top], frame.formulas[top], anchors.sig,
+                                fresh)
     return pos, const
 
 
@@ -487,9 +483,8 @@ def enumerate_linkings(frame: ProofFrame, anchors: Anchors | None = None):
         s = 0
         while s >= 0:
             if s == n:
-                pairs = tuple((candidates[t][pick[t]], consumers[t])
-                              for t in range(n))
-                yield realize(frame, pairs, index)
+                yield realize(frame, {consumers[t]: candidates[t][pick[t]]
+                                      for t in range(n)}, index)
                 index += 1
                 s -= 1
                 continue
@@ -555,12 +550,11 @@ def _reaches(succ, linked, consumer, producer):
     return False
 
 
-def realize(frame: ProofFrame, linking, index=0) -> ProofStructure:
-    """The proof structure of ``frame`` under ``linking``, the
-    ``index``-th of its stream. Only the consumer-to-producer map is
-    built; links and vertices stay the frame's."""
-    return ProofStructure(frame, linking, index,
-                          {consumer: producer for producer, consumer in linking})
+def realize(frame: ProofFrame, producer_of, index=0) -> ProofStructure:
+    """The proof structure of ``frame`` under the linking ``producer_of``
+    (consumer vertex to producer vertex), the ``index``-th of its
+    stream. Links and vertices stay the frame's."""
+    return ProofStructure(frame, index, producer_of)
 
 
 def check_structure(ps: ProofStructure) -> list:

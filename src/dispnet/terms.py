@@ -135,11 +135,6 @@ class StringTerm:
 EMPTY = StringTerm(())
 
 
-def sort_of_string(term: StringTerm) -> int:
-    """Number of separator occurrences in the term."""
-    return term.sort
-
-
 def concat(alpha: StringTerm, beta: StringTerm) -> StringTerm:
     return StringTerm(alpha.items + beta.items)
 

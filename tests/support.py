@@ -1,4 +1,4 @@
-"""Reference linkings for the tests, built without the linking search.
+"""Test references built without the code they check.
 
 ``all_linkings`` lists every linking of a frame in the order of its full
 stream, pruned by nothing; ``has_cycle`` decides afterwards whether a
@@ -6,7 +6,8 @@ whole linking closes a directed cycle in the frame oriented as an
 essential net. The search in ``proofstructure.enumerate_linkings``
 skips exactly the linkings that have a cycle or, with anchors, whose
 positions clash (``positions_clash``), so these are the references it
-is checked against.
+is checked against. ``validate`` checks the role maps of an abstract
+proof structure against its elements.
 """
 
 from itertools import permutations, product
@@ -28,8 +29,15 @@ def itertools_order(frame):
 def all_linkings(frame):
     """Every linking of a balanced frame as a proof structure, in stream
     order, each with its index in the full stream."""
-    for index, linking in enumerate(itertools_order(frame)):
-        yield realize(frame, linking, index)
+    for index, pairs in enumerate(itertools_order(frame)):
+        yield realize(frame, {c: p for p, c in pairs}, index)
+
+
+def linking(ps):
+    """The linking of a proof structure as (producer, consumer) pairs in
+    the order of its consumer slots, as ``itertools_order`` gives them: a
+    hashable name for a candidate."""
+    return tuple((p, c) for c, p in ps.producer_of.items())
 
 
 def has_cycle(frame, linking):
@@ -39,7 +47,7 @@ def has_cycle(frame, linking):
     main formula is its premiss (L*, Lo) points from it at both parts,
     another par link (R/, R\\, R^, R!) points from its premiss at its
     main formula, and each axiom link points from producer to consumer."""
-    edges = {v: [] for v in frame.vertices}
+    edges = {v: [] for v in range(len(frame.formulas))}
     for link in frame.links:
         if link.kind == "par" and link.main not in link.premisses:
             targets = (link.main,)
@@ -93,3 +101,48 @@ def positions_clash(frame, anchors, linking):
                     a, b = b, a
                 parent[a] = b
     return False
+
+
+def validate(aps):
+    """Problems with the role maps of an abstract proof structure: every
+    point a comb, cross link or par link uses must name that element in
+    ``concl_of`` or ``premiss_at``, and every key of those maps must be
+    a live point and every value a live element. A comb must also have
+    no premiss twice, not its own conclusion among them, and a row of
+    its conclusion's sort. Returns the problems found (empty when
+    fine)."""
+    problems = []
+    elements = aps.combs.keys() | aps.crosses.keys() | aps.pars.keys()
+
+    def expect(role, point, eid, what):
+        if getattr(aps, role).get(point) != eid:
+            problems.append(f"{what} {eid}: {role} of v{point} broken")
+
+    for c in aps.combs.values():
+        expect("concl_of", c.concl, c.cid, "comb")
+        premisses = [it for it in c.row if type(it) is int]
+        for q in premisses:
+            expect("premiss_at", q, c.cid, "comb")
+        if len(set(premisses)) < len(premisses):
+            problems.append(f"comb {c.cid}: duplicate premiss")
+        if c.concl in premisses:
+            problems.append(f"comb {c.cid}: conclusion among premisses")
+        if aps.row_sort(c.row) != aps.points[c.concl]:
+            problems.append(f"comb {c.cid}: row sort != conclusion sort")
+    for t in aps.crosses.values():
+        expect("concl_of", t.concl, t.tid, "cross")
+        expect("premiss_at", t.left, t.tid, "cross")
+        expect("premiss_at", t.right, t.tid, "cross")
+    for p in aps.pars.values():
+        expect("premiss_at", p.premiss, p.pid, "par")
+        if p.main != p.premiss:
+            expect("concl_of", p.main, p.pid, "par")
+        for q in (q for group in p.groups for q in group):
+            expect("concl_of", q, p.pid, "par")
+    for role in ("concl_of", "premiss_at"):
+        for point, eid in getattr(aps, role).items():
+            if point not in aps.points:
+                problems.append(f"{role}: v{point} is not a live point")
+            if eid not in elements:
+                problems.append(f"{role}: {eid} is not a live element")
+    return problems

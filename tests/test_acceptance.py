@@ -23,7 +23,6 @@ from dispnet.formula import (
     Under,
     parse_formula,
     random_formula,
-    sort_of_formula,
     well_sorted,
 )
 from dispnet.lexicon import load_grammar
@@ -42,7 +41,7 @@ from dispnet.proofstructure import (
 from dispnet.terms import parse_term
 
 from conftest import CORPUS_SIG, LAMBEK_SIG, prove_lambek
-from support import all_linkings, has_cycle
+from support import all_linkings, has_cycle, linking
 
 RING_UP = """\
 np 0
@@ -98,7 +97,7 @@ def test_criterion_2_sort_arithmetic():
     import dispnet.formula as fm
 
     sig = Signature({"np": 0, "n": 0, "s": 0, "pp": 0, "inf": 1})
-    assert sort_of_formula(parse_formula("(np\\s)^>np"), sig) == 1
+    assert sig.sort_of(parse_formula("(np\\s)^>np")) == 1
 
     shoulder = load_grammar(
         "np 0\ns 0\n"
@@ -113,17 +112,17 @@ def test_criterion_2_sort_arithmetic():
     for _ in range(10_000):
         f = random_formula(rng, sig, 5)
         assert well_sorted(f, sig) == []
-        s = sort_of_formula(f, sig)
+        s = sig.sort_of(f)
         assert s >= 0
         assert s == brute_sort(f, sig)
         if isinstance(f, (fm.Under, fm.Over)):
-            assert s + sort_of_formula(f.arg, sig) == sort_of_formula(f.result, sig)
+            assert s + sig.sort_of(f.arg) == sig.sort_of(f.result)
         elif isinstance(f, (fm.Up, fm.Down)):
-            assert s + sort_of_formula(f.arg, sig) == sort_of_formula(f.result, sig) + 1
+            assert s + sig.sort_of(f.arg) == sig.sort_of(f.result) + 1
         elif isinstance(f, fm.Prod):
-            assert s == sort_of_formula(f.left, sig) + sort_of_formula(f.right, sig)
+            assert s == sig.sort_of(f.left) + sig.sort_of(f.right)
         elif isinstance(f, fm.Wrap):
-            assert s == sort_of_formula(f.left, sig) + sort_of_formula(f.right, sig) - 1
+            assert s == sig.sort_of(f.left) + sig.sort_of(f.right) - 1
         checked += 1
     report(2, f"(np\\s)^>np has sort 1, idiom entry validates, "
               f"{checked} random formulas satisfy the sort identities exactly")
@@ -257,7 +256,7 @@ def test_criterion_6_round_trip(proof_corpus):
         assert not bad, f"corpus {i}: {bad}"
         assert q.term == p.term and q.formula == p.formula
         got = {h.label: (h.term, h.formula) for h in open_leaves_in_order(q)}
-        want = {v: (terms[v], ps.frame.vertices[v].formula) for v in ps.frame.hypotheses}
+        want = {v: (terms[v], ps.frame.formulas[v]) for v in ps.frame.hypotheses}
         assert got == want, f"corpus {i}: sequent hypotheses differ"
     report(6, f"{len(proof_corpus)} proofs: net contracts to the conclusion "
               f"comb and extraction re-derives the identical sequent (100%)")
@@ -302,9 +301,9 @@ def test_criterion_7_negative_controls():
         else:
             assert v.comb_term not in (None, expected)
     # the two stuck linkings close a cycle, and the search skips them
-    cyclic = {v.ps.linking for v in verdicts if has_cycle(frame, v.ps.linking)}
-    assert cyclic == {v.ps.linking for v in losers if v.kind == "stuck"}
-    assert not cyclic & {ps.linking for ps in enumerate_linkings(frame)}
+    cyclic = {linking(v.ps) for v in verdicts if has_cycle(frame, linking(v.ps))}
+    assert cyclic == {linking(v.ps) for v in losers if v.kind == "stuck"}
+    assert not cyclic & {linking(ps) for ps in enumerate_linkings(frame)}
     report(7, "np |- s rejected with per-atom CountMismatch; the 3 losing "
               "linkings rejected with stuck-pattern / word-order diagnostics, "
               "the 2 stuck ones skipped by the search as cyclic")

@@ -1,6 +1,7 @@
 import pytest
 
-from dispnet.aps import Pt, SortMismatch, to_aps
+from support import validate
+from dispnet.aps import SortMismatch, to_aps
 from dispnet.formula import Atom, Signature, parse_formula
 from dispnet.proofstructure import enumerate_linkings, unfold
 from dispnet.terms import SEP, parse_term
@@ -38,7 +39,7 @@ def test_ring_up_aps_shape():
         assert par.tag == "^" and str(par.mode) == ">"
         # the withdrawn np has sort 0: exactly one tether point
         assert [len(g) for g in par.groups] == [1]
-        assert a.validate() == []
+        assert validate(a) == []
         assert a.conclusion == ps.goal
 
 
@@ -46,7 +47,7 @@ def test_ring_up_lexical_comb_rows():
     structures, terms = ring_up_structures()
     a = to_aps(structures[0], terms, SIG)
     rows = sorted(
-        tuple(it if not isinstance(it, Pt) else "*" for it in c.row)
+        tuple("*" if type(it) is int else it for it in c.row)
         for c in a.combs.values()
     )
     assert ("rang", SEP, "up") in rows

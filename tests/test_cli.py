@@ -16,7 +16,7 @@ from dispnet.proofstructure import sequent_mismatches, unfold
 from dispnet.terms import SEP, StringTerm
 
 from conftest import LAMBEK_SIG, prove_lambek
-from support import all_linkings, has_cycle
+from support import all_linkings, has_cycle, linking
 
 RING_UP = """\
 np 0
@@ -392,7 +392,7 @@ def test_prove_without_exact_anchors_contracts_every_linking(
 def cyclic_linkings(hyps, goal, sig):
     """How many linkings of the sequent's frame close a cycle."""
     frame = unfold(hyps, goal, sig)
-    return sum(has_cycle(frame, ps.linking) for ps in all_linkings(frame))
+    return sum(has_cycle(frame, linking(ps)) for ps in all_linkings(frame))
 
 
 def random_lambek_formula(rng, conn):
@@ -538,6 +538,13 @@ def test_check_malformed_proof_is_input_error(proof, message, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and message in err
+
+
+def test_check_wrap_without_a_separator_names_the_rule(tmp_path, capsys):
+    path = tmp_path / "forged.nd"
+    path.write_text('np 0\ns 0\n(up_e > (hyp 0 "a" "s^>np") (hyp 1 "b" "np"))\n')
+    code, out, err = run(["check", str(path)], capsys)
+    assert (code, out, err) == (2, "", "error: ^E: term a has sort 0\n")
 
 
 def test_prove_has_no_goal_option(sig_file, capsys):

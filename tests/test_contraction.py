@@ -16,7 +16,7 @@ from dispnet.nd import open_leaves_in_order
 from dispnet.proofstructure import enumerate_linkings, linking_count, unfold
 from dispnet.terms import parse_term
 
-from support import all_linkings
+from support import all_linkings, linking, validate
 
 SIG = Signature({"a": 0, "b": 0, "np": 0, "s": 0, "j": 1, "k2": 2})
 
@@ -73,7 +73,7 @@ def test_final_comb_sort_matches_goal():
         [("a+1+b+1+c", "k2"), ("g", "k2!2j")], "j", "a+1+b+g+c"
     )
     win = next(v for v in verdicts if v.is_net)
-    assert win.comb_term.sort == SIG.sort_of(win.ps.frame.vertices[win.ps.goal].formula) == 1
+    assert win.comb_term.sort == SIG.sort_of(win.ps.frame.formulas[win.ps.goal]) == 1
 
 
 def test_ring_up_losers():
@@ -236,7 +236,7 @@ def test_confluence_on_ring_up_net():
             a = to_aps(ps, terms, RING_UP_SIG)
             trace = contract(a, select=rng.choice)
             assert trace.contracted
-            rows.add((ps.linking, str(a.final_term())))
+            rows.add((linking(ps), str(a.final_term())))
     # each net reaches one comb regardless of order
     assert len(rows) == 2
 
@@ -315,6 +315,30 @@ def test_worklist_matches_a_fraction_of_a_rescan(proof_corpus):
         rescanned += rescan_contract(aps.clone())[2]
     # a return to per-step rescans would put this near 1
     assert searched <= rescanned / 4
+
+
+def test_role_maps_hold_after_every_step(proof_corpus):
+    """The role maps agree with the elements after every step of the
+    corpus nets and of the search's streams of the corpus sequents with
+    at most 300 linkings. The search skips the cyclic linkings, whose
+    self-feeding combs ``validate`` reports by design."""
+    structures = steps = 0
+    for proof, _ps, _terms, net, _trace in proof_corpus:
+        candidates = [net.clone()]
+        leaves = open_leaves_in_order(proof)
+        frame = unfold([h.formula for h in leaves], proof.formula, CORPUS_SIG)
+        if linking_count(frame) <= 300:
+            terms = {v: h.term for v, h in zip(frame.hypotheses, leaves)}
+            candidates += [to_aps(ps, terms, CORPUS_SIG)
+                           for ps in enumerate_linkings(frame)]
+        for aps in candidates:
+            assert validate(aps) == []
+            while found := iter_redexes(aps)[0]:
+                apply_redex(aps, found[0])
+                assert validate(aps) == []
+                steps += 1
+            structures += 1
+    assert structures > 3000 and steps > 40000
 
 
 def test_trace_format_mentions_rules():

@@ -19,7 +19,6 @@ from dispnet.formula import (
     format_formula,
     parse_formula,
     random_formula,
-    sort_of_formula,
     well_sorted,
 )
 from dispnet.terms import FIRST, at
@@ -48,10 +47,10 @@ def brute_sort(f, sig):
 
 def test_sort_examples():
     f = parse_formula("(np\\s)^>np")
-    assert sort_of_formula(f, SIG) == 1
-    assert sort_of_formula(Atom("np"), SIG) == 0
+    assert SIG.sort_of(f) == 1
+    assert SIG.sort_of(Atom("np")) == 0
     g = parse_formula("(s^>np)!>s")
-    assert sort_of_formula(g, SIG) == 0
+    assert SIG.sort_of(g) == 0
     assert brute_sort(g, SIG) == 0
 
 
@@ -125,18 +124,18 @@ def test_random_formula_sort_identities(seed, budget):
     rng = random.Random(seed)
     f = random_formula(rng, SIG, budget)
     assert well_sorted(f, SIG) == []
-    s = sort_of_formula(f, SIG)
+    s = SIG.sort_of(f)
     assert s >= 0
     assert s == brute_sort(f, SIG)
     # Table-style rearrangements on compound formulas
     if isinstance(f, Under):
-        assert sort_of_formula(f, SIG) + sort_of_formula(f.arg, SIG) == sort_of_formula(f.result, SIG)
+        assert SIG.sort_of(f) + SIG.sort_of(f.arg) == SIG.sort_of(f.result)
     if isinstance(f, Over):
-        assert sort_of_formula(f, SIG) + sort_of_formula(f.arg, SIG) == sort_of_formula(f.result, SIG)
+        assert SIG.sort_of(f) + SIG.sort_of(f.arg) == SIG.sort_of(f.result)
     if isinstance(f, Up):
-        assert sort_of_formula(f, SIG) + sort_of_formula(f.arg, SIG) == sort_of_formula(f.result, SIG) + 1
+        assert SIG.sort_of(f) + SIG.sort_of(f.arg) == SIG.sort_of(f.result) + 1
     if isinstance(f, Down):
-        assert sort_of_formula(f, SIG) + sort_of_formula(f.arg, SIG) == sort_of_formula(f.result, SIG) + 1
+        assert SIG.sort_of(f) + SIG.sort_of(f.arg) == SIG.sort_of(f.result) + 1
 
 
 @settings(max_examples=300, deadline=None)

@@ -55,7 +55,7 @@ def test_lookup_examples():
     assert fm.format_formula(hits[0].formula) == "(s^>np)!>s"
     assert lookup(g, "zzz") == []
     # sort recomputed from the string term itself
-    assert tm.sort_of_string(lookup(g, "rang_up")[0].string) == 1
+    assert lookup(g, "rang_up")[0].string.sort == 1
 
 
 def test_print_load_round_trip():

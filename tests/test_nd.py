@@ -8,14 +8,14 @@ from dispnet import cli, nd
 from dispnet.contraction import is_proof_net
 from dispnet.formula import Atom, Signature, parse_formula, random_formula
 from dispnet.nd import (
+    Hyp,
     LambekOracle,
     NDError,
+    Rule,
     canonical_proof,
     check_nd,
     down_e,
     extract_nd,
-    hyp,
-    lambek_oracle,
     latex_nd,
     nd_from_sexpr,
     nd_to_sexpr,
@@ -46,10 +46,10 @@ F = parse_formula
 def ring_up_proof():
     """mary:np, rang+1+up:(np\\s)^>np, everyone:(s^>np)!>s
     |- mary+rang+everyone+up : s, built rule by rule."""
-    mary = hyp(0, T("mary"), F("np"))
-    rang = hyp(1, T("rang+1+up"), F("(np\\s)^>np"))
-    everyone = hyp(2, T("everyone"), F("(s^>np)!>s"))
-    obj = hyp(3, T("x"), F("np"))
+    mary = Hyp(0, T("mary"), F("np"))
+    rang = Hyp(1, T("rang+1+up"), F("(np\\s)^>np"))
+    everyone = Hyp(2, T("everyone"), F("(s^>np)!>s"))
+    obj = Hyp(3, T("x"), F("np"))
     vp = up_e(rang, obj)                      # rang+x+up : np\s
     clause = under_e(mary, vp)                # mary+rang+x+up : s
     gapped = up_i(FIRST, 3, clause)           # mary+rang+1+up : s^>np
@@ -66,24 +66,24 @@ def test_ring_up_proof_checks():
 
 
 def test_axiom_checks():
-    p = hyp(0, T("x+1+y"), F("j"))
+    p = Hyp(0, T("x+1+y"), F("j"))
     assert check_nd(p, SIG) == []
 
 
 def test_broken_concat_detected():
-    good = under_e(hyp(0, T("a"), F("np")), hyp(1, T("b"), F("np\\s")))
+    good = under_e(Hyp(0, T("a"), F("np")), Hyp(1, T("b"), F("np\\s")))
     broken = nd.Rule("\\E", good.children, T("b+a"), good.formula)
     out = check_nd(broken, SIG)
     assert out and "concludes" in out[0]
 
 
 def test_bad_hyp_sort_detected():
-    p = hyp(0, T("a+1+b"), F("np"))
+    p = Hyp(0, T("a+1+b"), F("np"))
     assert check_nd(p, SIG)
 
 
 def test_double_use_detected():
-    h = hyp(0, T("a"), F("np"))
+    h = Hyp(0, T("a"), F("np"))
     p = prod_i(h, h)
     assert any("twice" in v for v in check_nd(p, SIG))
 
@@ -91,8 +91,8 @@ def test_double_use_detected():
 def test_label_of_a_discharged_hypothesis_used_again_detected():
     # one leaf labelled 1 is discharged by /I, the other stays open;
     # open_hyps sees no clash, but the proof has two open hypotheses
-    q = hyp(1, T("q"), F("s"))
-    p = over_e(over_i(1, prod_i(hyp(0, T("a"), F("np")), q)), q)
+    q = Hyp(1, T("q"), F("s"))
+    p = over_e(over_i(1, prod_i(Hyp(0, T("a"), F("np")), q)), q)
     assert list(open_hyps(p)) == [0, 1]
     assert check_nd(p, SIG) == ["hypothesis label 1 used twice"]
     with pytest.raises(NDError, match="hypothesis label 1 used twice"):
@@ -101,8 +101,8 @@ def test_label_of_a_discharged_hypothesis_used_again_detected():
 
 def test_discharge_label_reused_in_another_scope_checks():
     # label 1 is discharged twice, in two separate /I scopes, and never open
-    left = over_i(1, prod_i(hyp(0, T("a"), F("np")), hyp(1, T("q"), F("s"))))
-    right = over_i(1, prod_i(hyp(2, T("b"), F("np")), hyp(1, T("r"), F("s"))))
+    left = over_i(1, prod_i(Hyp(0, T("a"), F("np")), Hyp(1, T("q"), F("s"))))
+    right = over_i(1, prod_i(Hyp(2, T("b"), F("np")), Hyp(1, T("r"), F("s"))))
     p = prod_i(left, right)
     assert check_nd(p, SIG) == []
     assert [h.label for h in open_leaves_in_order(p)] == [0, 2]
@@ -111,11 +111,32 @@ def test_discharge_label_reused_in_another_scope_checks():
 
 def test_factories_reject_bad_arithmetic():
     with pytest.raises(NDError):
-        under_e(hyp(0, T("a"), F("np")), hyp(1, T("b"), F("s")))
-    body = under_e(hyp(0, T("a"), F("np")), hyp(1, T("b"), F("np\\s")))
+        under_e(Hyp(0, T("a"), F("np")), Hyp(1, T("b"), F("s")))
+    body = under_e(Hyp(0, T("a"), F("np")), Hyp(1, T("b"), F("np\\s")))
     with pytest.raises(NDError):
         under_i(1, body)  # b is a suffix, not a prefix
     assert under_i(0, body).formula == F("np\\s")
+
+
+# Nodes built directly, whose term ``a`` lacks the separator their rule
+# wraps at (^E, !E) or splits the withdrawn hypothesis at (!I).
+FORGED = [
+    Rule("^E", (Hyp(0, T("a"), F("s^>np")), Hyp(1, T("b"), F("np"))),
+         T("a+b"), F("s"), mode=FIRST),
+    Rule("!E", (Hyp(0, T("a"), F("j")), Hyp(1, T("b"), F("j!>s"))),
+         T("a+b"), F("s"), mode=FIRST),
+    Rule("!I", (Hyp(0, T("a"), F("j")),), T("a"), F("j!>j"), mode=FIRST,
+         discharges=(0,)),
+]
+
+
+@pytest.mark.parametrize("node", FORGED, ids=["up_e", "down_e", "down_i"])
+def test_forged_node_without_its_separator_is_a_violation(node):
+    violation = f"root: {node.name}: term a has sort 0"
+    assert violation in check_nd(node, SIG)
+    with pytest.raises(NDError) as exc:
+        net_of_nd(node, SIG)
+    assert violation in str(exc.value)
 
 
 def test_net_of_nd_ring_up():
@@ -131,7 +152,7 @@ def test_net_of_nd_ring_up():
 
 
 def test_net_of_nd_axiom():
-    p = hyp(0, T("x+1+y"), F("j"))
+    p = Hyp(0, T("x+1+y"), F("j"))
     ps, terms, aps, trace = net_of_nd(p, SIG)
     assert ps.frame.links == []
     assert trace.steps == []
@@ -187,8 +208,7 @@ def test_net_layout_covers_every_rule():
 def test_net_of_nd_layout(text, dump, formulas):
     ps = net_of_nd(nd_from_sexpr(text), SIG)[0]
     assert ps.frame.dump().splitlines() == dump
-    assert [F(f) for f in formulas] == [
-        ps.frame.vertices[v].formula for v in sorted(ps.frame.vertices)]
+    assert [F(f) for f in formulas] == ps.frame.formulas
 
 
 def test_extract_ring_up():
@@ -226,7 +246,7 @@ def assert_round_trip(p, sig):
     assert check_nd(q, sig) == [], check_nd(q, sig)
     assert q.term == p.term and q.formula == p.formula
     got = {h.label: (h.term, h.formula) for h in open_leaves_in_order(q)}
-    want = {v: (terms[v], ps.frame.vertices[v].formula) for v in ps.frame.hypotheses}
+    want = {v: (terms[v], ps.frame.formulas[v]) for v in ps.frame.hypotheses}
     assert got == want
 
 
@@ -253,22 +273,22 @@ def walk(p):
 def test_round_trip_handcrafted():
     assert_round_trip(ring_up_proof(), SIG)
     # product elimination
-    ab = hyp(0, T("w"), F("np*s"))
-    a, b = hyp(1, T("a"), F("np")), hyp(2, T("b"), F("s"))
+    ab = Hyp(0, T("w"), F("np*s"))
+    a, b = Hyp(1, T("a"), F("np")), Hyp(2, T("b"), F("s"))
     body = prod_i(a, b)
     assert_round_trip(prod_e((1, 2), ab, body), SIG)
     # wrap introduction and elimination
-    circ = hyp(0, T("c+1+d"), F("j"))
-    inner = hyp(1, T("e"), F("s"))
+    circ = Hyp(0, T("c+1+d"), F("j"))
+    inner = Hyp(1, T("e"), F("s"))
     assert_round_trip(wrap_i(FIRST, circ, inner), SIG)
     # circumfix introduction: withdrawing the sort-1 hypothesis adds
     # the infixation par link
-    circ2 = hyp(7, T("a+1+b"), F("j"))
-    filler = hyp(8, T("x"), F("s"))
+    circ2 = Hyp(7, T("a+1+b"), F("j"))
+    filler = Hyp(8, T("x"), F("s"))
     assert_round_trip(nd.down_i(FIRST, 7, wrap_i(FIRST, circ2, filler)), SIG)
-    w = hyp(0, T("w"), F("j o> s"))
-    ja = hyp(1, T("a+1+b"), F("j"))
-    sb = hyp(2, T("c"), F("s"))
+    w = Hyp(0, T("w"), F("j o> s"))
+    ja = Hyp(1, T("a+1+b"), F("j"))
+    sb = Hyp(2, T("c"), F("s"))
     body = wrap_i(FIRST, ja, sb)
     assert_round_trip(wrap_e(FIRST, (1, 2), w, body), SIG)
 
@@ -310,8 +330,8 @@ def test_lambek_oracle_basics():
     assert o.derivable((F("np/s"), F("s")), np)
     assert o.derivable((F("(np/s)*s"),), np)
     assert not o.derivable((F("s"), F("np/s")), np)
-    assert lambek_oracle((), F("np\\np"))
-    assert not lambek_oracle((), F("np/s"))
+    assert LambekOracle().derivable((), F("np\\np"))
+    assert not LambekOracle().derivable((), F("np/s"))
 
 
 def test_oracle_agrees_with_nets_spot():
@@ -370,13 +390,13 @@ def test_sexpr_rejects_broken():
 def test_proofs_equal_mod_discharge():
     def build(start):
         labels = count(start)
-        a = hyp(0, T("a"), F("np"))
-        b = hyp(next(labels), T("q"), F("s"))
+        a = Hyp(0, T("a"), F("np"))
+        b = Hyp(next(labels), T("q"), F("s"))
         body = prod_i(a, b)
         return over_i(b.label, body)
 
     assert canonical_proof(build(50)) == canonical_proof(build(90))
-    assert canonical_proof(build(50)) != canonical_proof(hyp(0, T("a"), F("np")))
+    assert canonical_proof(build(50)) != canonical_proof(Hyp(0, T("a"), F("np")))
 
 
 def distinct_readings(hyp_pairs, goal, sig, expected, mode):

@@ -8,7 +8,13 @@ from itertools import islice, permutations
 import pytest
 
 from conftest import CORPUS_SIG
-from support import all_linkings, has_cycle, itertools_order, positions_clash
+from support import (
+    all_linkings,
+    has_cycle,
+    itertools_order,
+    linking,
+    positions_clash,
+)
 from dispnet.aps import IllFormedComb, to_aps
 from dispnet.contraction import is_proof_net
 from dispnet.formula import (
@@ -77,10 +83,10 @@ def test_ring_up_linking_count():
         assert len(ps.frame.hypotheses) == 3
     # the two linkings that cross the s atoms close a cycle; the search
     # streams the other two
-    acyclic = [ps.linking for ps in structures
-               if not has_cycle(frame, ps.linking)]
+    acyclic = [linking(ps) for ps in structures
+               if not has_cycle(frame, linking(ps))]
     assert len(acyclic) == 2
-    assert [ps.linking for ps in enumerate_linkings(frame)] == acyclic
+    assert [linking(ps) for ps in enumerate_linkings(frame)] == acyclic
 
 
 def test_axiom_frame():
@@ -152,12 +158,12 @@ def test_sequent_mismatches_match_unfold_on_corpus(proof_corpus):
 
 def test_enumeration_deterministic():
     frame = ring_up_frame()
-    first = [ps.linking for ps in enumerate_linkings(frame)]
-    second = [ps.linking for ps in enumerate_linkings(ring_up_frame())]
+    first = [linking(ps) for ps in enumerate_linkings(frame)]
+    second = [linking(ps) for ps in enumerate_linkings(ring_up_frame())]
     assert first == second
     assert len(set(first)) == 2
-    assert set(first) == {ps.linking for ps in all_linkings(frame)
-                          if not has_cycle(frame, ps.linking)}
+    assert set(first) == {linking(ps) for ps in all_linkings(frame)
+                          if not has_cycle(frame, linking(ps))}
 
 
 def test_dump_stable():
@@ -187,8 +193,7 @@ UNFOLD_LAYOUT = [
 
 
 def vertex_formulas(structure):
-    return [format_formula(structure.vertices[v].formula)
-            for v in sorted(structure.vertices)]
+    return [format_formula(f) for f in structure.formulas]
 
 
 @pytest.mark.parametrize("text, positive, dump, formulas", UNFOLD_LAYOUT)
@@ -228,9 +233,9 @@ def test_unfold_layout_nested():
     assert (frame.hypotheses, frame.goal) == ([0, 7, 12], 17)
 
 
-def local_sort_ok(link, vertices, sig):
+def local_sort_ok(link, formulas, sig):
     def s(vid):
-        return sig.sort_of(vertices[vid].formula)
+        return sig.sort_of(formulas[vid])
 
     if link.tag in ("L/", "R/"):
         c_over_b, b = (link.premisses[0], link.premisses[1]) if link.tag == "L/" else (
@@ -270,7 +275,7 @@ def test_unfold_preserves_sorts_randomly():
         goal = random_formula(rng, SIG, 2)
         frame = unfold(hyps, goal, SIG)
         for link in frame.links:
-            assert local_sort_ok(link, frame.vertices, SIG)
+            assert local_sort_ok(link, frame.formulas, SIG)
 
 
 def random_frames():
@@ -303,7 +308,7 @@ def test_stream_order_matches_itertools_reference():
     checked = 0
     for frame, expected in random_frames():
         stream = list(enumerate_linkings(frame))
-        assert [ps.linking for ps in stream] == list(itertools_order(frame))
+        assert [linking(ps) for ps in stream] == list(itertools_order(frame))
         assert [ps.index for ps in stream] == list(range(expected))
         checked += 1
     assert checked > 5
@@ -329,10 +334,10 @@ def test_first_linking_is_lazy():
     # streamed is acyclic and keeps its place in the full stream
     first = tuple(zip(sorted(frame.producers["np"]), sorted(frame.consumers["np"])))
     assert has_cycle(frame, first)
-    assert not has_cycle(frame, ps.linking)
-    assert [c for _, c in ps.linking] == sorted(frame.consumers["np"])
+    assert not has_cycle(frame, linking(ps))
+    assert [c for _, c in linking(ps)] == sorted(frame.consumers["np"])
     assert (next(islice(permutations(sorted(frame.producers["np"])), ps.index, None))
-            == tuple(p for p, _ in ps.linking))
+            == tuple(p for p, _ in linking(ps)))
     assert elapsed < 1.0
     assert peak < 5 * 2 ** 20
 
@@ -352,7 +357,7 @@ def test_position_pass_ring_up():
     assert all(const[p] for v in (mary, rang_up, everyone) for p in pos[v])
     for link in frame.links:
         for v in link.vertices():
-            assert len(pos[v]) == 2 * SIG.sort_of(frame.vertices[v].formula) + 2
+            assert len(pos[v]) == 2 * SIG.sort_of(frame.formulas[v]) + 2
     # the np argument of rang_up fills its gap, between 'rang' and 'up'
     (l_up,) = (l for l in frame.links if l.tag == "L^")
     assert pos[l_up.premisses[1]] == (pos[rang_up][1], pos[rang_up][2])
@@ -365,7 +370,7 @@ def test_anchored_stream_keeps_full_stream_indexes():
     # the other crossed linking closes a cycle
     assert len(kept) == 1
     for ps in kept:
-        assert full[ps.index].linking == ps.linking
+        assert linking(full[ps.index]) == linking(ps)
 
 
 def anchors_of(proof):
@@ -397,9 +402,9 @@ def test_pruning_keeps_every_net_on_corpus(proof_corpus):
         if linking_count(frame) > 200:
             continue
         terms = {v: h.term for v, h in zip(frame.hypotheses, leaves)}
-        is_net = {ps.linking: is_proof_net(ps, terms, CORPUS_SIG, proof.term).is_net
+        is_net = {linking(ps): is_proof_net(ps, terms, CORPUS_SIG, proof.term).is_net
                   for ps in enumerate_linkings(frame)}
-        kept = {ps.linking for ps in enumerate_linkings(frame, anchors)}
+        kept = {linking(ps) for ps in enumerate_linkings(frame, anchors)}
         assert ({l for l in kept if is_net[l]}
                 == {l for l, net in is_net.items() if net}), str(proof.term)
         checked += 1
@@ -423,9 +428,9 @@ def test_derived_anchors_keep_every_net_on_corpus(proof_corpus):
         if linking_count(frame) > 200:
             continue
         terms = {v: h.term for v, h in zip(frame.hypotheses, leaves)}
-        nets = {ps.linking: ps.index for ps in enumerate_linkings(frame)
+        nets = {linking(ps): ps.index for ps in enumerate_linkings(frame)
                 if is_proof_net(ps, terms, CORPUS_SIG, proof.term).is_net}
-        kept = {ps.linking: ps.index for ps in enumerate_linkings(frame, anchors)}
+        kept = {linking(ps): ps.index for ps in enumerate_linkings(frame, anchors)}
         assert nets.items() <= kept.items(), str(proof.term)
         checked += 1
     assert checked > 100
@@ -463,17 +468,17 @@ def test_search_skips_exactly_the_cyclic_linkings(proof_corpus):
     frames = ([(SIG, frame) for frame, _ in random_frames()]
               + [(CORPUS_SIG, frame) for frame in small_d_frames()])
     for sig, frame in frames:
-        sort = {v: sig.sort_of(x.formula) for v, x in frame.vertices.items()}
+        sort = [sig.sort_of(f) for f in frame.formulas]
         terms = {v: fresh.term(sort[v]) for v in frame.hypotheses}
         cases.append((sig, frame, terms, fresh.term(sort[frame.goal]), None))
 
     linkings = dropped = 0
     for sig, frame, terms, expected, anchors in cases:
         reference = [ps for ps in all_linkings(frame) if anchors is None
-                     or not positions_clash(frame, anchors, ps.linking)]
-        cyclic = [has_cycle(frame, ps.linking) for ps in reference]
-        assert ([(ps.index, ps.linking) for ps in enumerate_linkings(frame, anchors)]
-                == [(ps.index, ps.linking)
+                     or not positions_clash(frame, anchors, linking(ps))]
+        cyclic = [has_cycle(frame, linking(ps)) for ps in reference]
+        assert ([(ps.index, linking(ps)) for ps in enumerate_linkings(frame, anchors)]
+                == [(ps.index, linking(ps))
                     for ps, cycle in zip(reference, cyclic) if not cycle])
         if anchors is None:
             for ps, cycle in zip(reference, cyclic):
@@ -485,17 +490,17 @@ def test_search_skips_exactly_the_cyclic_linkings(proof_corpus):
     assert len(cases) > 900 and linkings > 10000 and dropped > linkings / 2
 
 
-def copying_realize(frame, linking):
+def copying_realize(frame, pairs):
     """The reference for ``realize``: the candidate as a copy of its
     frame, each link rewritten with every linked consumer vertex merged
-    into its producer and those vertices dropped, standing as a frame of
-    its own under the empty linking."""
-    remap = {consumer: producer for producer, consumer in linking}
+    into its producer. The merged vertices keep their formulas, as
+    vertex ids index them, but map to themselves, so the copy reads
+    every link as it stands and ``to_aps`` gives them no point."""
+    remap = {consumer: producer for producer, consumer in pairs}
 
     def m(vid):
         return remap.get(vid, vid)
 
-    vertices = {vid: v for vid, v in frame.vertices.items() if vid not in remap}
     links = [
         replace(link,
                 premisses=tuple(map(m, link.premisses)),
@@ -503,8 +508,9 @@ def copying_realize(frame, linking):
                 main=m(link.main) if link.main is not None else None)
         for link in frame.links
     ]
-    return ProofStructure(
-        ProofFrame(vertices, links, list(frame.hypotheses), m(frame.goal)))
+    copy = ProofFrame(list(frame.formulas), links, list(frame.hypotheses),
+                      m(frame.goal))
+    return ProofStructure(copy, 0, {consumer: consumer for consumer in remap})
 
 
 def aps_text(ps, terms):
@@ -527,7 +533,7 @@ def test_structure_read_through_linking_matches_copy(proof_corpus):
         terms = {v: h.term for v, h in zip(frame.hypotheses, leaves)}
         for ps in enumerate_linkings(frame):
             assert ps.frame is frame
-            ref = copying_realize(frame, ps.linking)
+            ref = copying_realize(frame, linking(ps))
             assert ps.goal == ref.goal
             assert check_structure(ps) == check_structure(ref)
             assert aps_text(ps, terms) == aps_text(ref, terms)

@@ -16,7 +16,6 @@ from dispnet.terms import (
     format_term,
     parse_mode,
     parse_term,
-    sort_of_string,
     wrap,
 )
 
@@ -26,10 +25,10 @@ def t(text):
 
 
 def test_sort_examples():
-    assert sort_of_string(t("mary")) == 0
-    assert sort_of_string(t("rang+1+up")) == 1
+    assert t("mary").sort == 0
+    assert t("rang+1+up").sort == 1
     # a string of sort 2 with three atomic subterms
-    assert sort_of_string(t("p+1+q+1+r")) == 2
+    assert t("p+1+q+1+r").sort == 2
 
 
 def test_concat_examples():
