@@ -2,12 +2,15 @@
 
 Proofs are trees of rule applications over hypothesis leaves; every
 node carries the string term and formula it concludes, so a proof can
-be replayed and audited rule by rule. The smart constructors
-(``under_e``, ``up_i``, ...) perform the string arithmetic of each rule
-and refuse to build nodes whose geometry is off (a withdrawn hypothesis
-that is not a prefix, an infix in a position its mode forbids, and so
-on). ``check_nd`` re-derives every node and reports violations instead
-of raising, so foreign proof files can be audited.
+be replayed and audited rule by rule. ``apply_rule`` builds every node
+in one of three shapes: a join (\\E, /E, ^E, !E, *I, oI) concatenates or
+wraps its premisses' terms; a strip (\\I, /I, !I) cuts the withdrawn
+hypothesis's term off both ends of the body's; a replace (^I, *E, oE)
+puts one item where the withdrawn material sits inside the body. It
+refuses a node whose geometry is off with an NDError naming the rule.
+``check_nd`` re-derives every node and reports violations, each under
+its node's path, instead of raising, so foreign proof files can be
+audited.
 
 Two constructions tie proofs to proof nets:
 
@@ -45,6 +48,7 @@ from .terms import (
     SEP,
     FreshVars,
     Mode,
+    Separator,
     StringTerm,
     TermError,
     concat,
@@ -72,8 +76,7 @@ class Hyp:
 
 @dataclass(frozen=True)
 class Rule:
-    name: str        # "\\E", "\\I", "/E", "/I", "*I", "*E", "^E", "^I",
-                     # "!E", "!I", "oI", "oE"
+    name: str        # a key of RULES: "\\E", "^I", ...
     children: tuple
     term: StringTerm
     formula: "fm.Formula"
@@ -107,214 +110,158 @@ def open_leaves_in_order(p) -> list:
     return list(open_hyps(p).values())
 
 
-def sequent_of(p):
-    """(open hypotheses in leaf order, conclusion term, conclusion formula)."""
-    return (
-        tuple((h.label, h.term, h.formula) for h in open_leaves_in_order(p)),
-        p.term,
-        p.formula,
-    )
+# -- the rules -------------------------------------------------------------
 
 
-# -- smart constructors --------------------------------------------------
+def _glue(left: StringTerm, mode, right: StringTerm) -> StringTerm:
+    """``left`` and ``right`` joined: concatenated, or ``left`` wrapped
+    around ``right`` at the separator ``mode`` picks."""
+    return concat(left, right) if mode is None else wrap(left, mode, right)
 
 
-def _subseq_at(items, block, start=0):
-    n = len(block)
-    for i in range(start, len(items) - n + 1):
-        if items[i:i + n] == block:
-            return i
-    return None
+def _written(spec, arg, result) -> tuple:
+    """An implication's argument and result in the order it writes them."""
+    return (result, arg) if spec.result == 0 else (arg, result)
 
 
-def _items_sort(items) -> int:
-    return StringTerm(tuple(items)).sort
-
-
-def under_e(l, r) -> Rule:
-    if not isinstance(r.formula, fm.Under) or r.formula.arg != l.formula:
-        raise NDError("\\E: right premiss must be (left formula)\\C")
-    return Rule("\\E", (l, r), concat(l.term, r.term), r.formula.result)
-
-
-def over_e(l, r) -> Rule:
-    if not isinstance(l.formula, fm.Over) or l.formula.arg != r.formula:
-        raise NDError("/E: left premiss must be C/(right formula)")
-    return Rule("/E", (l, r), concat(l.term, r.term), l.formula.result)
-
-
-def under_i(label, body) -> Rule:
-    h = open_hyps(body).get(label)
-    if h is None:
-        raise NDError(f"\\I: no open hypothesis {label}")
-    n = len(h.term.items)
-    if body.term.items[:n] != h.term.items:
-        raise NDError("\\I: withdrawn hypothesis is not a prefix of the conclusion")
-    rest = StringTerm(body.term.items[n:])
-    return Rule("\\I", (body,), rest, fm.Under(h.formula, body.formula),
-                discharges=(label,))
-
-
-def over_i(label, body) -> Rule:
-    h = open_hyps(body).get(label)
-    if h is None:
-        raise NDError(f"/I: no open hypothesis {label}")
-    n = len(h.term.items)
-    if n and body.term.items[len(body.term.items) - n:] != h.term.items:
-        raise NDError("/I: withdrawn hypothesis is not a suffix of the conclusion")
-    rest = StringTerm(body.term.items[:len(body.term.items) - n])
-    return Rule("/I", (body,), rest, fm.Over(body.formula, h.formula),
-                discharges=(label,))
-
-
-def prod_i(l, r) -> Rule:
-    return Rule("*I", (l, r), concat(l.term, r.term), fm.Prod(l.formula, r.formula))
-
-
-def prod_e(labels, l, body) -> Rule:
-    la, lb = labels
+def _withdrawn(spec, body, labels) -> list:
     opened = open_hyps(body)
-    if la not in opened or lb not in opened:
-        raise NDError("*E: both component hypotheses must be open in the body")
-    ha, hb = opened[la], opened[lb]
-    if not isinstance(l.formula, fm.Prod) or (l.formula.left, l.formula.right) != (
-            ha.formula, hb.formula):
-        raise NDError("*E: left premiss formula does not match the hypotheses")
-    block = ha.term.items + hb.term.items
-    i = _subseq_at(body.term.items, block)
-    if i is None:
-        raise NDError("*E: component strings are not adjacent in the body")
-    items = body.term.items[:i] + l.term.items + body.term.items[i + len(block):]
-    return Rule("*E", (l, body), StringTerm(items), body.formula,
-                discharges=(la, lb))
+    if missing := [label for label in labels if label not in opened]:
+        raise NDError(f"{spec.name}: no open hypothesis {missing[0]}")
+    return [opened[label] for label in labels]
 
 
-def up_e(l, r) -> Rule:
-    f = l.formula
-    if not isinstance(f, fm.Up) or f.arg != r.formula:
-        raise NDError("^E: left premiss must be C^k(right formula)")
-    return Rule("^E", (l, r), wrap(l.term, f.mode, r.term), f.result, mode=f.mode)
+def _join(spec, mode, labels, kids) -> Rule:
+    """\\E, /E, ^E, !E, *I, oI: the conclusion's term joins the two
+    premisses' terms. An elimination's major premiss is the one on the
+    side where its connective writes the result."""
+    left, right = kids
+    if spec.result < 0:
+        formula = fm.connective(spec.name[0], left.formula, right.formula, mode)
+    else:
+        major, minor = (left, right) if spec.result == 0 else (right, left)
+        f = major.formula
+        if fm.OPS.get(type(f)) != spec.name[0] or f.arg != minor.formula or (
+                mode is not None and f.mode != mode):
+            want = fm.connective(spec.name[0], *_written(spec, minor.formula,
+                                                         fm.Atom("C")), mode)
+            raise NDError(f"{spec.name}: {('left', 'right')[spec.result]} premiss "
+                          f"must be {fm.format_formula(want)}, got "
+                          f"{fm.format_formula(f)}")
+        formula = f.result
+    return Rule(spec.name, (left, right), _glue(left.term, mode, right.term),
+                formula, mode)
 
 
-def up_i(mode, label, body) -> Rule:
-    h = open_hyps(body).get(label)
-    if h is None:
-        raise NDError(f"^I: no open hypothesis {label}")
-    block = h.term.items
+def _strip(spec, mode, labels, kids) -> Rule:
+    """\\I, /I, !I: cut the withdrawn hypothesis's term off both ends of
+    the body's: all of it off the start (\\I) or the end (/I), or its
+    parts either side of the separator the mode picks (!I). An empty
+    part matches anywhere."""
+    (body,) = kids
+    (h,) = _withdrawn(spec, body, labels)
+    if mode is not None:
+        prefix, suffix = split_at_sep(h.term, mode)
+    else:  # the hypothesis sits where the connective writes its argument
+        prefix, suffix = _written(spec, h.term.items, ())
     items = body.term.items
-    i, found = 0, None
-    while True:
-        i = _subseq_at(items, block, i)
-        if i is None:
-            break
-        pre_sort = _items_sort(items[:i])
-        post_sort = _items_sort(items[i + len(block):])
-        # the separator left in the infix's place must be the mode's
-        if mode.slot(pre_sort + 1 + post_sort) == pre_sort + 1:
-            found = i
-            break
-        i += 1
-    if found is None:
-        raise NDError(f"^I: hypothesis not an infix at a mode-{mode} position")
-    items = items[:found] + (SEP,) + items[found + len(block):]
-    return Rule("^I", (body,), StringTerm(items),
-                fm.Up(body.formula, h.formula, mode), mode=mode,
-                discharges=(label,))
+    end = len(items) - len(suffix)
+    if end < len(prefix) or items[:len(prefix)] != prefix or items[end:] != suffix:
+        form = StringTerm(prefix + ("...",) + suffix)
+        raise NDError(f"{spec.name}: conclusion {body.term} is not of the form {form}")
+    return Rule(spec.name, (body,), StringTerm(items[len(prefix):end]),
+                fm.connective(spec.name[0], *_written(spec, h.formula, body.formula),
+                              mode), mode, tuple(labels))
 
 
-def down_e(l, r) -> Rule:
-    f = r.formula
-    if not isinstance(f, fm.Down) or f.arg != l.formula:
-        raise NDError("!E: right premiss must be (left formula)!kC")
-    return Rule("!E", (l, r), wrap(l.term, f.mode, r.term), f.result, mode=f.mode)
-
-
-def down_i(mode, label, body) -> Rule:
-    h = open_hyps(body).get(label)
-    if h is None:
-        raise NDError(f"!I: no open hypothesis {label}")
-    prefix, suffix = split_at_sep(h.term, mode)
-    items = body.term.items
-    if len(items) < len(prefix) + len(suffix):
-        raise NDError("!I: conclusion shorter than the circumfix")
-    if items[:len(prefix)] != prefix:
-        raise NDError("!I: circumfix prefix does not match the conclusion")
-    if len(suffix) and items[len(items) - len(suffix):] != suffix:
-        raise NDError("!I: circumfix suffix does not match the conclusion")
-    middle = items[len(prefix):len(items) - len(suffix)]
-    return Rule("!I", (body,), StringTerm(middle),
-                fm.Down(h.formula, body.formula, mode), mode=mode,
-                discharges=(label,))
-
-
-def wrap_i(mode, l, r) -> Rule:
-    return Rule("oI", (l, r), wrap(l.term, mode, r.term),
-                fm.Wrap(l.formula, r.formula, mode), mode=mode)
-
-
-def wrap_e(mode, labels, l, body) -> Rule:
-    la, lb = labels
-    opened = open_hyps(body)
-    if la not in opened or lb not in opened:
-        raise NDError("oE: both component hypotheses must be open in the body")
-    ha, hb = opened[la], opened[lb]
-    f = l.formula
-    if not isinstance(f, fm.Wrap) or (f.left, f.right, f.mode) != (
-            ha.formula, hb.formula, mode):
-        raise NDError("oE: left premiss formula does not match the hypotheses")
-    block = wrap(ha.term, mode, hb.term).items
-    i = _subseq_at(body.term.items, block)
-    if i is None:
-        raise NDError("oE: wrapped component string does not occur in the body")
-    items = body.term.items[:i] + l.term.items + body.term.items[i + len(block):]
-    return Rule("oE", (l, body), StringTerm(items), body.formula, mode=mode,
-                discharges=(la, lb))
+def _replace(spec, mode, labels, kids) -> Rule:
+    """^I, *E, oE: put one item where the withdrawn material first sits
+    in the body. For ^I that is the separator, at the first occurrence
+    where the mode picks the separator left in its place. For *E and oE
+    it is the major premiss's term, in place of the two components
+    joined as *I and oI join them."""
+    *major, body = kids
+    hyps = _withdrawn(spec, body, labels)
+    if major:
+        (a, b), (major,) = hyps, major
+        want = fm.connective(spec.name[0], a.formula, b.formula, mode)
+        if major.formula != want:
+            raise NDError(f"{spec.name}: left premiss must be "
+                          f"{fm.format_formula(want)}, got "
+                          f"{fm.format_formula(major.formula)}")
+        block, filler = _glue(a.term, mode, b.term).items, major.term.items
+        before, formula = None, body.formula
+    else:
+        (h,) = hyps
+        block, filler = h.term.items, (SEP,)
+        before = mode.slot(body.term.sort - h.term.sort + 1) - 1
+        formula = fm.Up(body.formula, h.formula, mode)
+    items, n, seps = body.term.items, len(block), 0
+    for i in range(len(items) - n + 1):
+        if items[i:i + n] == block and (before is None or seps == before):
+            return Rule(spec.name, tuple(kids),
+                        StringTerm(items[:i] + filler + items[i + n:]), formula,
+                        mode, tuple(labels))
+        if i < len(items) and isinstance(items[i], Separator):
+            seps += 1
+    where = "" if before is None else f" after {before} separator(s)"
+    raise NDError(f"{spec.name}: {StringTerm(block)} does not occur in "
+                  f"{body.term}{where}")
 
 
 class RuleSpec(NamedTuple):
+    name: str
     sexpr: str         # the rule's name in proof files
     premisses: int
     discharges: int
-    make: Callable     # (mode m, discharged labels d, premisses p) -> Rule
+    shape: Callable    # _join, _strip or _replace
+    moded: bool
+    result: int        # where the connective writes its result among its
+                       # operands, 0 or 1; -1 for * and o, which have none
+
+
+def _spec(name, sexpr, shape, premisses, discharges) -> RuleSpec:
+    names = fm.OPERANDS[fm.CONNECTIVES[name[0]]]
+    return RuleSpec(name, sexpr, premisses, discharges, shape, name[0] in fm.MODED,
+                    names.index("result") if "result" in names else -1)
 
 
 # Every rule, by name: op+E eliminates the connective op, op+I introduces
 # it. In a proof structure an L+op link is the rule op+E and an R+op link
 # the rule op+I.
-RULES = {
-    "\\E": RuleSpec("under_e", 2, 0, lambda m, d, p: under_e(*p)),
-    "\\I": RuleSpec("under_i", 1, 1, lambda m, d, p: under_i(*d, *p)),
-    "/E": RuleSpec("over_e", 2, 0, lambda m, d, p: over_e(*p)),
-    "/I": RuleSpec("over_i", 1, 1, lambda m, d, p: over_i(*d, *p)),
-    "*E": RuleSpec("prod_e", 2, 2, lambda m, d, p: prod_e(d, *p)),
-    "*I": RuleSpec("prod_i", 2, 0, lambda m, d, p: prod_i(*p)),
-    "^E": RuleSpec("up_e", 2, 0, lambda m, d, p: up_e(*p)),
-    "^I": RuleSpec("up_i", 1, 1, lambda m, d, p: up_i(m, *d, *p)),
-    "!E": RuleSpec("down_e", 2, 0, lambda m, d, p: down_e(*p)),
-    "!I": RuleSpec("down_i", 1, 1, lambda m, d, p: down_i(m, *d, *p)),
-    "oE": RuleSpec("wrap_e", 2, 2, lambda m, d, p: wrap_e(m, d, *p)),
-    "oI": RuleSpec("wrap_i", 2, 0, lambda m, d, p: wrap_i(m, *p)),
-}
+RULES = {name: _spec(name, *rest) for name, *rest in (
+    ("\\E", "under_e", _join, 2, 0),
+    ("/E", "over_e", _join, 2, 0),
+    ("^E", "up_e", _join, 2, 0),
+    ("!E", "down_e", _join, 2, 0),
+    ("*I", "prod_i", _join, 2, 0),
+    ("oI", "wrap_i", _join, 2, 0),
+    ("\\I", "under_i", _strip, 1, 1),
+    ("/I", "over_i", _strip, 1, 1),
+    ("!I", "down_i", _strip, 1, 1),
+    ("^I", "up_i", _replace, 1, 1),
+    ("*E", "prod_e", _replace, 2, 2),
+    ("oE", "wrap_e", _replace, 2, 2),
+)}
 
 
 def apply_rule(name, mode, labels, kids) -> Rule:
-    """Build the node of rule ``name`` through its constructor. Raises
-    NDError for an unknown rule, a wrong number of premisses or
-    discharged labels, a mode the premisses do not give, or a term that
-    lacks the separator the rule wraps at or splits at."""
-    if name not in RULES:
+    """Build the node of rule ``name`` through its shape. Raises NDError
+    for an unknown rule, a wrong number of premisses or labels, a mode
+    missing from ^, ! or o or given to another rule, premisses the rule
+    does not fit, or a term that lacks the separator it needs."""
+    spec = RULES.get(name)
+    if spec is None:
         raise NDError(f"unknown rule {name}")
-    sexpr, premisses, discharges, make = RULES[name]
-    if len(kids) != premisses or len(labels) != discharges:
-        raise NDError(f"{sexpr}: takes {premisses} premiss(es) and {discharges} "
-                      f"label(s), got {len(kids)} and {len(labels)}")
+    if len(kids) != spec.premisses or len(labels) != spec.discharges:
+        raise NDError(f"{spec.sexpr}: takes {spec.premisses} premiss(es) and "
+                      f"{spec.discharges} label(s), got {len(kids)} and {len(labels)}")
+    if (mode is not None) != spec.moded:
+        raise NDError(f"{spec.sexpr}: mode {mode} does not match the formula")
     try:
-        node = make(mode, labels, kids)
+        return spec.shape(spec, mode, labels, kids)
     except TermError as exc:
         raise NDError(f"{name}: {exc}") from exc
-    if node.mode != mode:
-        raise NDError(f"{sexpr}: mode {mode} does not match the formula")
-    return node
 
 
 def check_nd(p, sig) -> list:
@@ -389,8 +336,8 @@ def net_of_nd(p, sig):
         kids = [build(c) for c in node.children]
         withdrawn = [hyp_vertex[label] for label in node.discharges]
         op, kind = node.name
-        names = fm.OPERANDS[fm.CONNECTIVES[op]]
-        if "result" not in names:
+        r = RULES[node.name].result
+        if r < 0:
             # * and o: I joins its premisses into its conclusion, E splits
             # its major premiss into the withdrawn hypotheses
             if kind == "I":
@@ -402,7 +349,6 @@ def net_of_nd(p, sig):
             # an implication: I concludes it from its body (the result)
             # and withdrawn hypothesis (the argument), E concludes the
             # major premiss's result from the minor premiss (the argument)
-            r = names.index("result")
             out = new_vertex(node.formula)
             if kind == "I":
                 top, parts = out, withdrawn * 2
@@ -561,11 +507,9 @@ def random_nd_proof(rng: random.Random, sig, max_depth=6, fresh=None,
             moves.append(fm.OPS[type(goal)] + "I")
         name = rng.choice(moves)
         op, kind = name
-        operands = fm.OPERANDS[fm.CONNECTIVES[op]]
-        implication = "result" in operands
-        d = depth - 1
+        spec, d = RULES[name], depth - 1
 
-        if kind == "I" and implication:
+        if kind == "I" and spec.result >= 0:
             h = Hyp(next(labels), fresh.term(sig.sort_of(goal.arg)), goal.arg)
             body = gen(goal.result, musts + (h,), d)
             if body is None:
@@ -579,14 +523,13 @@ def random_nd_proof(rng: random.Random, sig, max_depth=6, fresh=None,
                 return None
             return apply_rule(name, getattr(goal, "mode", None), (), [l, r])
 
-        if implication:
+        if spec.result >= 0:
             arg = invent(1)
-            major = compound(op, *(goal if n == "result" else arg for n in operands))
+            major = compound(op, *_written(spec, arg, goal))
             if major is None:
                 return None
             ml, mr = split(musts)
-            l, r = (gen(major if n == "result" else arg, m, d)
-                    for n, m in zip(operands, (ml, mr)))
+            l, r = (gen(f, m, d) for f, m in zip(_written(spec, arg, major), (ml, mr)))
             if l is None or r is None:
                 return None
             return apply_rule(name, getattr(major, "mode", None), (), [l, r])
@@ -799,7 +742,7 @@ def _build_sexpr(tree):
     name = _BY_SEXPR.get(head)
     if name is None:
         raise NDError(f"unknown proof rule {head!r}")
-    moded, discharges = name[0] in fm.MODED, RULES[name].discharges
+    moded, discharges = RULES[name].moded, RULES[name].discharges
     syms = [a for a in args if not isinstance(a, list)]
     if len(syms) != moded + discharges or any(a[0] != "sym" for a in syms):
         want = ["a mode"] * moded + [f"{discharges} label(s)"] * (discharges > 0)

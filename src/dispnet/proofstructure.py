@@ -175,9 +175,6 @@ class ProofFrame:
     def dump(self) -> str:
         return "\n".join(link.fmt() for link in self.links)
 
-    def par_links(self):
-        return [l for l in self.links if l.kind == "par"]
-
 
 @dataclass
 class ProofStructure:

@@ -31,7 +31,7 @@ def test_ring_up_aps_shape():
         a = to_aps(ps, terms, SIG)
         # one par link survives, both cross links survive, the one
         # plus-tensor became a comb
-        assert len(a.pars) == len(ps.frame.par_links()) == 1
+        assert len(a.pars) == sum(l.kind == "par" for l in ps.frame.links) == 1
         assert len(a.crosses) == 2
         # combs: three lexical + one from the plus link + one tether
         assert len(a.combs) == 5

@@ -12,9 +12,9 @@ from dispnet.nd import (
     LambekOracle,
     NDError,
     Rule,
+    apply_rule,
     canonical_proof,
     check_nd,
-    down_e,
     extract_nd,
     latex_nd,
     nd_from_sexpr,
@@ -22,25 +22,22 @@ from dispnet.nd import (
     net_of_nd,
     open_hyps,
     open_leaves_in_order,
-    over_e,
-    over_i,
-    prod_e,
-    prod_i,
     random_nd_proof,
-    sequent_of,
-    under_e,
-    under_i,
-    up_e,
-    up_i,
-    wrap_e,
-    wrap_i,
 )
 from dispnet.proofstructure import linking_count, sequent_mismatches, unfold
-from dispnet.terms import FIRST, FreshVars, parse_term
+from dispnet.terms import FIRST, LAST, FreshVars, at, parse_term
 
 SIG = Signature({"np": 0, "n": 0, "s": 0, "j": 1})
 T = parse_term
 F = parse_formula
+
+
+def _h(label, term, formula):
+    return Hyp(label, T(term), F(formula))
+
+
+def _r(name, mode, labels, *kids):
+    return apply_rule(name, mode, labels, list(kids))
 
 
 def ring_up_proof():
@@ -50,10 +47,11 @@ def ring_up_proof():
     rang = Hyp(1, T("rang+1+up"), F("(np\\s)^>np"))
     everyone = Hyp(2, T("everyone"), F("(s^>np)!>s"))
     obj = Hyp(3, T("x"), F("np"))
-    vp = up_e(rang, obj)                      # rang+x+up : np\s
-    clause = under_e(mary, vp)                # mary+rang+x+up : s
-    gapped = up_i(FIRST, 3, clause)           # mary+rang+1+up : s^>np
-    return down_e(gapped, everyone)           # mary+rang+everyone+up : s
+    vp = apply_rule("^E", FIRST, (), [rang, obj])        # rang+x+up : np\s
+    clause = apply_rule("\\E", None, (), [mary, vp])     # mary+rang+x+up : s
+    gapped = apply_rule("^I", FIRST, (3,), [clause])     # mary+rang+1+up : s^>np
+    # mary+rang+everyone+up : s
+    return apply_rule("!E", FIRST, (), [gapped, everyone])
 
 
 def test_ring_up_proof_checks():
@@ -61,8 +59,7 @@ def test_ring_up_proof_checks():
     assert check_nd(p, SIG) == []
     assert str(p.term) == "mary+rang+everyone+up"
     assert p.formula == Atom("s")
-    hyps, term, goal = sequent_of(p)
-    assert [h[0] for h in hyps] == [0, 1, 2]
+    assert [h.label for h in open_leaves_in_order(p)] == [0, 1, 2]
 
 
 def test_axiom_checks():
@@ -71,7 +68,8 @@ def test_axiom_checks():
 
 
 def test_broken_concat_detected():
-    good = under_e(Hyp(0, T("a"), F("np")), Hyp(1, T("b"), F("np\\s")))
+    good = apply_rule("\\E", None, (),
+                      [Hyp(0, T("a"), F("np")), Hyp(1, T("b"), F("np\\s"))])
     broken = nd.Rule("\\E", good.children, T("b+a"), good.formula)
     out = check_nd(broken, SIG)
     assert out and "concludes" in out[0]
@@ -84,7 +82,7 @@ def test_bad_hyp_sort_detected():
 
 def test_double_use_detected():
     h = Hyp(0, T("a"), F("np"))
-    p = prod_i(h, h)
+    p = apply_rule("*I", None, (), [h, h])
     assert any("twice" in v for v in check_nd(p, SIG))
 
 
@@ -92,7 +90,8 @@ def test_label_of_a_discharged_hypothesis_used_again_detected():
     # one leaf labelled 1 is discharged by /I, the other stays open;
     # open_hyps sees no clash, but the proof has two open hypotheses
     q = Hyp(1, T("q"), F("s"))
-    p = over_e(over_i(1, prod_i(Hyp(0, T("a"), F("np")), q)), q)
+    body = apply_rule("*I", None, (), [Hyp(0, T("a"), F("np")), q])
+    p = apply_rule("/E", None, (), [apply_rule("/I", None, (1,), [body]), q])
     assert list(open_hyps(p)) == [0, 1]
     assert check_nd(p, SIG) == ["hypothesis label 1 used twice"]
     with pytest.raises(NDError, match="hypothesis label 1 used twice"):
@@ -101,21 +100,70 @@ def test_label_of_a_discharged_hypothesis_used_again_detected():
 
 def test_discharge_label_reused_in_another_scope_checks():
     # label 1 is discharged twice, in two separate /I scopes, and never open
-    left = over_i(1, prod_i(Hyp(0, T("a"), F("np")), Hyp(1, T("q"), F("s"))))
-    right = over_i(1, prod_i(Hyp(2, T("b"), F("np")), Hyp(1, T("r"), F("s"))))
-    p = prod_i(left, right)
+    left = _r("/I", None, (1,), _r("*I", None, (), _h(0, "a", "np"), _h(1, "q", "s")))
+    right = _r("/I", None, (1,), _r("*I", None, (), _h(2, "b", "np"), _h(1, "r", "s")))
+    p = _r("*I", None, (), left, right)
     assert check_nd(p, SIG) == []
     assert [h.label for h in open_leaves_in_order(p)] == [0, 2]
     assert_round_trip(p, SIG)
 
 
+# One input per rule that the rule refuses, as (name, mode, labels,
+# premisses) and a part of the message.
+BROKEN = [
+    ("\\E", None, (), [_h(0, "a", "np"), _h(1, "b", "s")],
+     "right premiss must be np\\C, got s"),
+    ("/E", None, (), [_h(0, "a", "s/np"), _h(1, "b", "s")],
+     "left premiss must be C/s, got s/np"),
+    # the major premiss's mode is not the rule's
+    ("^E", LAST, (), [_h(0, "a+1+b", "s^>np"), _h(1, "c", "np")],
+     "left premiss must be C^<np, got s^>np"),
+    ("!E", FIRST, (), [_h(0, "a+1+b", "j"), _h(1, "c", "s")],
+     "right premiss must be j!>C, got s"),
+    ("*I", FIRST, (), [_h(0, "a", "np"), _h(1, "b", "s")],
+     "prod_i: mode > does not match the formula"),
+    # the circumfix has one separator, the mode picks the second
+    ("oI", at(2), (), [_h(0, "a+1+b", "j"), _h(1, "c", "np")],
+     "oI: separator 2 of a+1+b (sort 1)"),
+    # the withdrawn hypothesis b is a suffix, not a prefix
+    ("\\I", None, (1,), [_r("\\E", None, (), _h(0, "a", "np"), _h(1, "b", "np\\s"))],
+     "conclusion a+b is not of the form b+..."),
+    # the withdrawn hypothesis b is a prefix, not a suffix
+    ("/I", None, (1,), [_r("/E", None, (), _h(1, "b", "s/np"), _h(0, "a", "np"))],
+     "conclusion b+a is not of the form ...+b"),
+    # the circumfix x+1+y matches at the end of d+x+c+y but not at its start
+    ("!I", FIRST, (0,), [_r("*I", None, (), _h(2, "d", "np"),
+                            _r("oI", FIRST, (), _h(0, "x+1+y", "j"),
+                               _h(1, "c", "s")))],
+     "conclusion d+x+c+y is not of the form x+...+y"),
+    # x sits after the separator; mode > needs the one it leaves first
+    ("^I", FIRST, (0,), [_r("*I", None, (), _h(1, "a+1+b", "j"), _h(0, "x", "np"))],
+     "x does not occur in a+1+b+x after 0 separator(s)"),
+    # the components a and b are not adjacent in a+c+b
+    ("*E", None, (1, 2),
+     [_h(0, "w", "np*s"),
+      _r("*I", None, (), _r("*I", None, (), _h(1, "a", "np"), _h(3, "c", "np")),
+         _h(2, "b", "s"))],
+     "a+b does not occur in a+c+b"),
+    ("oE", FIRST, (1, 2),
+     [_h(0, "w", "j o> s"), _r("oI", FIRST, (), _h(1, "a+1+b", "j"),
+                                _h(2, "c", "np"))],
+     "left premiss must be j o> np, got j o> s"),
+]
+
+
 def test_factories_reject_bad_arithmetic():
-    with pytest.raises(NDError):
-        under_e(Hyp(0, T("a"), F("np")), Hyp(1, T("b"), F("s")))
-    body = under_e(Hyp(0, T("a"), F("np")), Hyp(1, T("b"), F("np\\s")))
-    with pytest.raises(NDError):
-        under_i(1, body)  # b is a suffix, not a prefix
-    assert under_i(0, body).formula == F("np\\s")
+    assert {name for name, *_ in BROKEN} == set(nd.RULES)
+    for name, mode, labels, kids, message in BROKEN:
+        with pytest.raises(NDError) as exc:
+            apply_rule(name, mode, labels, kids)
+        assert message in str(exc.value)
+        assert name in str(exc.value) or nd.RULES[name].sexpr in str(exc.value)
+        # check_nd reports a node of the same rule and premisses
+        node = Rule(name, tuple(kids), T("z"), F("s"), mode, labels)
+        assert f"root: {exc.value}" in check_nd(node, SIG)
+    body = _r("\\E", None, (), _h(0, "a", "np"), _h(1, "b", "np\\s"))
+    assert _r("\\I", None, (0,), body).formula == F("np\\s")
 
 
 # Nodes built directly, whose term ``a`` lacks the separator their rule
@@ -139,13 +187,34 @@ def test_forged_node_without_its_separator_is_a_violation(node):
     assert violation in str(exc.value)
 
 
+# Introductions of the moded connectives built directly with no mode.
+MODELESS = [
+    Rule("^I", (Hyp(0, T("a"), F("np")),), T("1"), F("np^>np"),
+         discharges=(0,)),
+    Rule("!I", (Hyp(0, T("a+1+b"), F("j")),), T("0"), F("j!>j"),
+         discharges=(0,)),
+    Rule("oI", (Hyp(0, T("a+1+b"), F("j")), Hyp(1, T("c"), F("np"))),
+         T("a+c+b"), F("j o> np")),
+]
+
+
+@pytest.mark.parametrize("node", MODELESS, ids=["up_i", "down_i", "wrap_i"])
+def test_forged_moded_node_without_a_mode_is_a_violation(node):
+    violation = (f"root: {nd.RULES[node.name].sexpr}: mode None does not "
+                 "match the formula")
+    assert violation in check_nd(node, SIG)
+    with pytest.raises(NDError) as exc:
+        net_of_nd(node, SIG)
+    assert violation in str(exc.value)
+
+
 def test_net_of_nd_ring_up():
     p = ring_up_proof()
     ps, terms, aps, trace = net_of_nd(p, SIG)
     assert trace.contracted
     assert str(aps.clone().final_term() if aps.is_single_comb() else "") == ""
     # one par link per ^I; final comb carries the conclusion string
-    assert len(ps.frame.par_links()) == 1
+    assert sum(l.kind == "par" for l in ps.frame.links) == 1
     assert trace.logical_rules() == ["^>"]
     last_rows = trace.steps[-1].row
     assert "mary rang everyone up" in last_rows
@@ -234,7 +303,7 @@ def assert_round_trip(p, sig):
         1 for node in walk(p)
         if isinstance(node, nd.Rule) and node.name in ("\\I", "/I", "^I", "!I", "*E", "oE")
     )
-    assert len(ps.frame.par_links()) == par_rules
+    assert sum(l.kind == "par" for l in ps.frame.links) == par_rules
     assert len(trace.logical_rules()) == par_rules
     verdict = is_proof_net(ps, terms, sig)
     assert verdict.is_net
@@ -275,22 +344,23 @@ def test_round_trip_handcrafted():
     # product elimination
     ab = Hyp(0, T("w"), F("np*s"))
     a, b = Hyp(1, T("a"), F("np")), Hyp(2, T("b"), F("s"))
-    body = prod_i(a, b)
-    assert_round_trip(prod_e((1, 2), ab, body), SIG)
+    body = apply_rule("*I", None, (), [a, b])
+    assert_round_trip(apply_rule("*E", None, (1, 2), [ab, body]), SIG)
     # wrap introduction and elimination
     circ = Hyp(0, T("c+1+d"), F("j"))
     inner = Hyp(1, T("e"), F("s"))
-    assert_round_trip(wrap_i(FIRST, circ, inner), SIG)
+    assert_round_trip(apply_rule("oI", FIRST, (), [circ, inner]), SIG)
     # circumfix introduction: withdrawing the sort-1 hypothesis adds
     # the infixation par link
     circ2 = Hyp(7, T("a+1+b"), F("j"))
     filler = Hyp(8, T("x"), F("s"))
-    assert_round_trip(nd.down_i(FIRST, 7, wrap_i(FIRST, circ2, filler)), SIG)
+    wrapped = apply_rule("oI", FIRST, (), [circ2, filler])
+    assert_round_trip(apply_rule("!I", FIRST, (7,), [wrapped]), SIG)
     w = Hyp(0, T("w"), F("j o> s"))
     ja = Hyp(1, T("a+1+b"), F("j"))
     sb = Hyp(2, T("c"), F("s"))
-    body = wrap_i(FIRST, ja, sb)
-    assert_round_trip(wrap_e(FIRST, (1, 2), w, body), SIG)
+    body = apply_rule("oI", FIRST, (), [ja, sb])
+    assert_round_trip(apply_rule("oE", FIRST, (1, 2), [w, body]), SIG)
 
 
 def test_round_trip_random_corpus():
@@ -392,8 +462,8 @@ def test_proofs_equal_mod_discharge():
         labels = count(start)
         a = Hyp(0, T("a"), F("np"))
         b = Hyp(next(labels), T("q"), F("s"))
-        body = prod_i(a, b)
-        return over_i(b.label, body)
+        body = apply_rule("*I", None, (), [a, b])
+        return apply_rule("/I", None, (b.label,), [body])
 
     assert canonical_proof(build(50)) == canonical_proof(build(90))
     assert canonical_proof(build(50)) != canonical_proof(Hyp(0, T("a"), F("np")))
