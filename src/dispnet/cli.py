@@ -16,11 +16,13 @@ reading set as the human-readable report.
 contracts to a comb; the default ``parse`` mode additionally requires
 the comb to spell the expected string (the sentence for ``parse``, the
 stated goal term for ``prove``). Both commands skip, before
-contraction, every linking with a position clash or cycle
-(``stats.pruned``). A cycle is checked in every mode. A position clash
-is checked in ``parse`` mode, where a linking's string positions must
-fit that string; ``prove`` checks it whenever its terms read as tokens
-of the string, as a bare sequent's fresh terms always do.
+contraction, every linking with a position clash, a cycle, or a
+withdrawn hypothesis that reaches the goal around its body
+(``stats.pruned``). Cycles and escaped hypotheses are checked in every
+mode. A position clash is checked in ``parse`` mode, where a linking's
+string positions must fit that string; ``prove`` checks it whenever
+its terms read as tokens of the string, as a bare sequent's fresh
+terms always do.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ class ParseResult:
     readings: list = field(default_factory=list)
     linkings_tried: int = 0
     pruned: int = 0       # linkings tried that the search skipped:
-                          # position clash or cycle
+                          # position clash, cycle or escaped hypothesis
     nets_found: int = 0
     errors: list = field(default_factory=list)
 

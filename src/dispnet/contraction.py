@@ -44,12 +44,13 @@ geometric condition failed, in ``ContractionTrace.stuck``.
 
 The engine is a worklist. A ready table maps each live element to the
 redex it offers, structural elements (combs, cross links) apart from
-par links; every element is matched once at the start, and the next
-step fires the lowest-id structural redex, else the lowest-id par
-redex, which is the order ``iter_redexes`` lists them in. After a step
-with result comb R, the consumed elements leave the table and only
-these are matched again: R; the combs and par links that conclude a
-point in R's row; the element whose premiss is R's conclusion.
+par links; every element is matched once at the start. Redexes fire
+in a fixed order, structural redexes by element id, then par redexes
+by id: the next step fires the lowest-id structural redex, else the
+lowest-id par redex. After a step with result comb R, the consumed
+elements leave the table and only these are matched again: R; the
+combs and par links that conclude a point in R's row; the element
+whose premiss is R's conclusion.
 
 Why that is enough: the role maps ``concl_of`` and ``premiss_at`` give,
 for each point, the id of the element that concludes it and of the one
@@ -307,8 +308,7 @@ def _match_par(aps, p):
 
 def _match_element(aps: APS, eid: int):
     """The redex that element ``eid`` (comb, cross link or par link)
-    offers in the current state, or None. The one matcher behind both
-    the worklist and ``iter_redexes``."""
+    offers in the current state, or None."""
     comb = aps.combs.get(eid)
     if comb is not None:
         consumer = aps.premiss_at.get(comb.concl)
@@ -319,16 +319,6 @@ def _match_element(aps: APS, eid: int):
     if eid in aps.crosses:
         return _match_cross(aps, aps.crosses[eid])[0]
     return _match_par(aps, aps.pars[eid])[0]
-
-
-def iter_redexes(aps: APS):
-    """All currently available redexes: structural ones in element-id
-    order, then logical ones in par-id order; and the number of
-    elements matched to find them."""
-    order = sorted(aps.combs.keys() | aps.crosses.keys()) + sorted(aps.pars)
-    found = [r for r in (_match_element(aps, eid) for eid in order)
-             if r is not None]
-    return found, len(order)
 
 
 def apply_redex(aps: APS, redex: Redex) -> ContractionStep:
@@ -428,8 +418,9 @@ def _neighbours(aps: APS, cid: int) -> set:
 
 def contract(aps: APS, select=None) -> ContractionTrace:
     """Contract to normal form. ``select`` picks among the available
-    redexes, given in ``iter_redexes`` order (default: the first one);
-    confluence makes the choice irrelevant for the outcome."""
+    redexes, structural ones by element id, then par ones by id
+    (default: the first one); confluence makes the choice irrelevant
+    for the outcome."""
     initial = aps.element_count()
     structural, logical = {}, {}  # element id -> its ready redex
 

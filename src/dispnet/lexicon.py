@@ -49,6 +49,14 @@ class Grammar:
         for e in entries:
             self.entries.setdefault(e.headword, []).append(e)
         self.goal_default = goal_default
+        # first word -> [(entry, its pieces)] in grammar order, the index
+        # lexical_covers starts entries from; an entry with an empty
+        # piece has no surface anchor and is left out
+        self.by_first = {}
+        for e in self.all_entries():
+            pieces = e.pieces()
+            if all(pieces):
+                self.by_first.setdefault(pieces[0][0], []).append((e, pieces))
 
     def all_entries(self):
         return [e for group in self.entries.values() for e in group]
@@ -144,42 +152,35 @@ def lexical_covers(grammar: Grammar, tokens) -> list:
     enumerated depth-first in grammar order, so the result is
     deterministic.
     """
-    tokens = list(tokens)
-    by_first = {}
-    for e in grammar.all_entries():
-        pieces = e.pieces()
-        if any(not p for p in pieces):
-            continue  # entries with empty pieces have no surface anchor
-        by_first.setdefault(pieces[0][0], []).append(e)
-
+    tokens = tuple(tokens)
     out = []
 
     def piece_at(piece, i):
-        return list(tokens[i:i + len(piece)]) == list(piece)
+        return tokens[i:i + len(piece)] == piece
 
     def search(i, open_matches, done):
-        # open_matches: list of (entry, spans_so_far, next_piece_index)
+        # open_matches: list of (entry, pieces, spans_so_far, next_piece_index)
         if i == len(tokens):
             if not open_matches:
                 out.append(tuple(sorted(done, key=lambda m: m.start)))
             return
         # continue an open discontinuous entry at token i
-        for idx, (entry, spans, k) in enumerate(open_matches):
-            piece = entry.pieces()[k]
-            if piece and piece_at(piece, i):
-                new = (entry, spans + ((i, i + len(piece)),), k + 1)
+        for idx, (entry, pieces, spans, k) in enumerate(open_matches):
+            piece = pieces[k]
+            if piece_at(piece, i):
+                new = (entry, pieces, spans + ((i, i + len(piece)),), k + 1)
                 rest = open_matches[:idx] + open_matches[idx + 1:]
                 advance(i + len(piece), rest, new, done)
         # start a new entry at token i
-        for entry in by_first.get(tokens[i], ()):
-            piece = entry.pieces()[0]
+        for entry, pieces in grammar.by_first.get(tokens[i], ()):
+            piece = pieces[0]
             if piece_at(piece, i):
-                new = (entry, ((i, i + len(piece)),), 1)
+                new = (entry, pieces, ((i, i + len(piece)),), 1)
                 advance(i + len(piece), list(open_matches), new, done)
 
     def advance(i, open_matches, new, done):
-        entry, spans, k = new
-        if k == len(entry.pieces()):
+        entry, pieces, spans, k = new
+        if k == len(pieces):
             search(i, open_matches, done + [EntryMatch(entry, spans)])
         else:
             search(i, open_matches + [new], done)

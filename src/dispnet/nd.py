@@ -124,14 +124,7 @@ def _written(spec, arg, result) -> tuple:
     return (result, arg) if spec.result == 0 else (arg, result)
 
 
-def _withdrawn(spec, body, labels) -> list:
-    opened = open_hyps(body)
-    if missing := [label for label in labels if label not in opened]:
-        raise NDError(f"{spec.name}: no open hypothesis {missing[0]}")
-    return [opened[label] for label in labels]
-
-
-def _join(spec, mode, labels, kids) -> Rule:
+def _join(spec, mode, hyps, kids) -> Rule:
     """\\E, /E, ^E, !E, *I, oI: the conclusion's term joins the two
     premisses' terms. An elimination's major premiss is the one on the
     side where its connective writes the result."""
@@ -153,13 +146,12 @@ def _join(spec, mode, labels, kids) -> Rule:
                 formula, mode)
 
 
-def _strip(spec, mode, labels, kids) -> Rule:
+def _strip(spec, mode, hyps, kids) -> Rule:
     """\\I, /I, !I: cut the withdrawn hypothesis's term off both ends of
     the body's: all of it off the start (\\I) or the end (/I), or its
     parts either side of the separator the mode picks (!I). An empty
     part matches anywhere."""
-    (body,) = kids
-    (h,) = _withdrawn(spec, body, labels)
+    (body,), (h,) = kids, hyps
     if mode is not None:
         prefix, suffix = split_at_sep(h.term, mode)
     else:  # the hypothesis sits where the connective writes its argument
@@ -171,17 +163,16 @@ def _strip(spec, mode, labels, kids) -> Rule:
         raise NDError(f"{spec.name}: conclusion {body.term} is not of the form {form}")
     return Rule(spec.name, (body,), StringTerm(items[len(prefix):end]),
                 fm.connective(spec.name[0], *_written(spec, h.formula, body.formula),
-                              mode), mode, tuple(labels))
+                              mode), mode, (h.label,))
 
 
-def _replace(spec, mode, labels, kids) -> Rule:
+def _replace(spec, mode, hyps, kids) -> Rule:
     """^I, *E, oE: put one item where the withdrawn material first sits
     in the body. For ^I that is the separator, at the first occurrence
     where the mode picks the separator left in its place. For *E and oE
     it is the major premiss's term, in place of the two components
     joined as *I and oI join them."""
     *major, body = kids
-    hyps = _withdrawn(spec, body, labels)
     if major:
         (a, b), (major,) = hyps, major
         want = fm.connective(spec.name[0], a.formula, b.formula, mode)
@@ -201,7 +192,7 @@ def _replace(spec, mode, labels, kids) -> Rule:
         if items[i:i + n] == block and (before is None or seps == before):
             return Rule(spec.name, tuple(kids),
                         StringTerm(items[:i] + filler + items[i + n:]), formula,
-                        mode, tuple(labels))
+                        mode, tuple(h.label for h in hyps))
         if i < len(items) and isinstance(items[i], Separator):
             seps += 1
     where = "" if before is None else f" after {before} separator(s)"
@@ -214,7 +205,8 @@ class RuleSpec(NamedTuple):
     sexpr: str         # the rule's name in proof files
     premisses: int
     discharges: int
-    shape: Callable    # _join, _strip or _replace
+    shape: Callable    # _join, _strip or _replace, given the mode, the
+                       # withdrawn hypotheses and the premisses
     moded: bool
     result: int        # where the connective writes its result among its
                        # operands, 0 or 1; -1 for * and o, which have none
@@ -245,11 +237,15 @@ RULES = {name: _spec(name, *rest) for name, *rest in (
 )}
 
 
-def apply_rule(name, mode, labels, kids) -> Rule:
-    """Build the node of rule ``name`` through its shape. Raises NDError
-    for an unknown rule, a wrong number of premisses or labels, a mode
-    missing from ^, ! or o or given to another rule, premisses the rule
-    does not fit, or a term that lacks the separator it needs."""
+def apply_rule(name, mode, labels, kids, opened=None) -> Rule:
+    """Build the node of rule ``name`` through its shape. ``opened``
+    holds the open hypotheses of the body, the last premiss, by label,
+    as ``open_hyps`` gives them, or the message of the NDError it
+    raises; by default they are read off the body. Raises NDError for an
+    unknown rule, a wrong number of premisses or labels, a mode missing
+    from ^, ! or o or given to another rule, a body whose hypotheses
+    clash or lack a label, premisses the rule does not fit, or a term
+    that lacks the separator it needs."""
     spec = RULES.get(name)
     if spec is None:
         raise NDError(f"unknown rule {name}")
@@ -258,16 +254,50 @@ def apply_rule(name, mode, labels, kids) -> Rule:
                       f"{spec.discharges} label(s), got {len(kids)} and {len(labels)}")
     if (mode is not None) != spec.moded:
         raise NDError(f"{spec.sexpr}: mode {mode} does not match the formula")
+    hyps = ()
+    if spec.discharges:
+        if opened is None:
+            opened = open_hyps(kids[-1])
+        elif isinstance(opened, str):
+            raise NDError(opened)
+        if missing := [label for label in labels if label not in opened]:
+            raise NDError(f"{name}: no open hypothesis {missing[0]}")
+        hyps = [opened[label] for label in labels]
     try:
-        return spec.shape(spec, mode, labels, kids)
+        return spec.shape(spec, mode, hyps, kids)
     except TermError as exc:
         raise NDError(f"{name}: {exc}") from exc
+
+
+def _merged(opened, discharges):
+    """What ``open_hyps`` gives a node whose children's open hypotheses
+    are ``opened``, each a map by label or the message of the NDError
+    ``open_hyps`` raises on that child; the message of the error it
+    raises instead. Each map is merged into the largest so far, so the
+    maps lose the leaf order, and the children's maps are used up."""
+    merged = {}
+    for got in opened:
+        if type(got) is str:
+            return got
+        small, large = (got, merged) if len(got) <= len(merged) else (merged, got)
+        for label in small:
+            if label in large:
+                clash = next(label for label in got if label in merged)
+                return f"hypothesis label {clash} used twice"
+        large.update(small)
+        merged = large
+    for label in discharges:
+        if merged.pop(label, None) is None:
+            return f"discharge of absent hypothesis {label}"
+    return merged
 
 
 def check_nd(p, sig) -> list:
     """Audit a proof; returns a list of violations (empty when it
     checks out). An open hypothesis may not share its label with a
-    discharged one; a discharge label may be reused in another scope."""
+    discharged one; a discharge label may be reused in another scope.
+    One walk re-derives every node and carries the open hypotheses of
+    each subtree up to its parent, which gives the body's to its rule."""
     violations = []
     discharged = set()
 
@@ -283,29 +313,31 @@ def check_nd(p, sig) -> list:
                         f"{path}: hypothesis term {node.term} has sort "
                         f"{node.term.sort}, formula needs {want}"
                     )
-            return
+            return {node.label: node}
         discharged.update(node.discharges)
+        opened = []
         for i, child in enumerate(node.children):
-            visit(child, f"{path}.{i}")
+            opened.append(visit(child, f"{path}.{i}"))
         try:
             redone = apply_rule(node.name, node.mode, node.discharges,
-                                node.children)
+                                node.children, opened[-1] if opened else None)
         except NDError as exc:
             violations.append(f"{path}: {exc}")
-            return
-        if redone.term != node.term or redone.formula != node.formula:
-            violations.append(
-                f"{path}: rule {node.name} concludes {redone.term} : "
-                f"{fm.format_formula(redone.formula)}, node claims {node.term} : "
-                f"{fm.format_formula(node.formula)}"
-            )
+        else:
+            if redone.term != node.term or redone.formula != node.formula:
+                violations.append(
+                    f"{path}: rule {node.name} concludes {redone.term} : "
+                    f"{fm.format_formula(redone.formula)}, node claims "
+                    f"{node.term} : {fm.format_formula(node.formula)}"
+                )
+        return _merged(opened, node.discharges)
 
-    try:
-        opened = open_hyps(p)
-    except NDError as exc:
-        violations.append(str(exc))
+    opened = visit(p, "root")
+    if isinstance(opened, str):
+        violations.insert(0, opened)
         opened = {}
-    visit(p, "root")
+    elif opened.keys() & discharged:
+        opened = open_hyps(p)  # the labels in leaf order
     return [f"hypothesis label {label} used twice"
             for label in opened if label in discharged] + violations
 

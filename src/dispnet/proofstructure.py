@@ -55,6 +55,16 @@ producer to its consumer. Such a cycle is a cycle in one Danos-Regnier
 switching (1989), so a linking that has one is no proof net, and its
 structure would only get stuck in contraction.
 
+On the same oriented frame the search skips every linking in which the
+withdrawn hypothesis of an R par link (\\I, /I, ^I, !I: the conclusion
+that is not the main formula) reaches the goal along a path that
+avoids the link's premiss, the body (Lamarche's scope condition). A
+net sequentializes (``nd.extract_nd`` reads a proof off it), and in
+that proof the hypothesis an introduction withdraws is used only inside
+the body's subproof, so every path from it to the goal passes through
+the body. An L par link (*E, oE) is not checked: the subproof it scopes
+over has no vertex of its own in the frame.
+
 A linking exists only if every atom has as many producers as consumers
 (van Benthem's count invariant). ``sequent_mismatches`` reads those
 counts off the formulas, so an unbalanced sequent is rejected before it
@@ -420,8 +430,11 @@ def enumerate_linkings(frame: ProofFrame, anchors: Anchors | None = None):
     frame's essential-net edges and the axiom links chosen so far (see
     the module docstring): the link would close a directed cycle, so no
     linking below that choice is a proof net, and the search skips them
-    all too. The places of skipped linkings in the order are not reused,
-    so indexes stay those of the full stream.
+    all too. Nor is it linked when the link would let the withdrawn
+    hypothesis of an R par link reach the goal around the link's body.
+    Links only add paths, so a cycle or an escape found at a choice
+    holds for every linking below it. The places of skipped linkings in
+    the order are not reused, so indexes stay those of the full stream.
 
     Raises CountMismatch immediately when some atom is unbalanced (the
     stream would be empty)."""
@@ -466,16 +479,54 @@ def enumerate_linkings(frame: ProofFrame, anchors: Anchors | None = None):
                 trail.append(a)
             return True
 
-        def undo(mark):
-            while len(trail) > mark:
+        def undo(s):
+            unified, spread_to = mark[s]
+            while len(trail) > unified:
                 x = trail.pop()
                 parent[x] = x
+            while len(grown) > spread_to:
+                reach, v = grown.pop()
+                reach.discard(v)
 
+        def spread(reach, body, v, note):
+            """Add to ``reach`` every vertex that ``v`` reaches and it
+            lacks, passing neither ``body`` nor vertices already in it,
+            each noted in ``note``; True as soon as the goal is added."""
+            stack = []
+            if v != body and v not in reach:
+                reach.add(v)
+                note.append((reach, v))
+                stack.append(v)
+            while stack:
+                v = stack.pop()
+                if v == goal:
+                    return True
+                axiom = linked.get(v)
+                for w in succ.get(v, ()) if axiom is None else (axiom,):
+                    if w != body and w not in reach:
+                        reach.add(w)
+                        note.append((reach, w))
+                        stack.append(w)
+            return False
+
+        def escapes(producer, consumer):
+            """Whether linking ``producer`` to ``consumer`` lets a
+            withdrawn hypothesis reach the goal around its body: only a
+            scope whose hypothesis reaches the producer can gain a path."""
+            for reach, body in scopes:
+                if producer in reach and spread(reach, body, consumer, grown):
+                    return True
+            return False
+
+        goal = frame.goal
         succ = None     # built at the first link that positions allow
+        scopes = None   # per R par link: what its withdrawn hypothesis
+                        # reaches around its body so far, and the body
+        grown = []      # (reach, vertex) per vertex added to a reach
         linked = {}     # producer -> consumer, the axiom links made so far
         n = len(consumers)
         pick = [-1] * n
-        mark = [0] * n
+        mark = [None] * n  # per slot: len(trail), len(grown) before its pick
         index = 0
         s = 0
         while s >= 0:
@@ -487,20 +538,26 @@ def enumerate_linkings(frame: ProofFrame, anchors: Anchors | None = None):
                 continue
             producers, used, j = candidates[s], taken[s], pick[s]
             if j < 0:
-                mark[s] = len(trail)
+                mark[s] = (len(trail), len(grown))
             else:
                 used[j] = False
                 del linked[producers[j]]
-                undo(mark[s])
+                undo(s)
             for j in range(j + 1, len(producers)):
                 if used[j]:
                     continue
                 if pos is None or unify(pos[producers[j]], pos[consumers[s]]):
                     if succ is None:
-                        succ = _essential_edges(frame)
-                    if not _reaches(succ, linked, consumers[s], producers[j]):
+                        succ, bodies = _essential_edges(frame)
+                        scopes = []
+                        for hypothesis, body in bodies:
+                            reach = set()
+                            spread(reach, body, hypothesis, [])
+                            scopes.append((reach, body))
+                    if not (_reaches(succ, linked, consumers[s], producers[j])
+                            or escapes(producers[j], consumers[s])):
                         break
-                undo(mark[s])
+                undo(s)
                 index += below[s]
             else:
                 pick[s] = -1
@@ -514,20 +571,28 @@ def enumerate_linkings(frame: ProofFrame, anchors: Anchors | None = None):
     return stream()
 
 
-def _essential_edges(frame: ProofFrame) -> dict:
+def _essential_edges(frame: ProofFrame):
     """The frame oriented as an essential net, as the successors of each
     vertex: a tensor link's premisses point at its conclusion, an R par
     link's premiss at its main formula, and an L par link's compound, its
     premiss, at each of its parts. A vertex is the premiss of at most one
     link, so it gets its successors from one link. No producer has any
-    here; its axiom link gives it one."""
+    here; its axiom link gives it one. Also the withdrawn hypothesis and
+    the body of each R par link: the conclusion that is not its main
+    formula, and its premiss."""
     succ = {}
+    bodies = []
     for link in frame.links:
-        targets = ((link.main,) if link.kind == "par" and link.tag[0] == "R"
-                   else link.conclusions)
+        if link.kind == "par" and link.tag[0] == "R":
+            targets = (link.main,)
+            first, second = link.conclusions
+            bodies.append((second if first == link.main else first,
+                           link.premisses[0]))
+        else:
+            targets = link.conclusions
         for v in link.premisses:
             succ[v] = targets
-    return succ
+    return succ, bodies
 
 
 def _reaches(succ, linked, consumer, producer):
@@ -552,29 +617,4 @@ def realize(frame: ProofFrame, producer_of, index=0) -> ProofStructure:
     (consumer vertex to producer vertex), the ``index``-th of its
     stream. Links and vertices stay the frame's."""
     return ProofStructure(frame, index, producer_of)
-
-
-def check_structure(ps: ProofStructure) -> list:
-    """Validate the at-most-one-premiss / at-most-one-conclusion
-    discipline; returns violations (empty when fine)."""
-    violations = []
-    seen_premiss = {}
-    seen_conclusion = {}
-    for i, link in enumerate(ps.frame.links):
-        for v in map(ps.find, link.premisses):
-            if v in seen_premiss:
-                violations.append(f"vertex {v} premiss of links {seen_premiss[v]} and {i}")
-            seen_premiss[v] = i
-        for v in map(ps.find, link.conclusions):
-            if v in seen_conclusion:
-                violations.append(
-                    f"vertex {v} conclusion of links {seen_conclusion[v]} and {i}"
-                )
-            seen_conclusion[v] = i
-    for h in ps.frame.hypotheses:
-        if h in seen_conclusion:
-            violations.append(f"hypothesis {h} is the conclusion of a link")
-    if ps.goal in seen_premiss:
-        violations.append(f"goal {ps.goal} is the premiss of a link")
-    return violations
 

@@ -3,16 +3,22 @@
 ``all_linkings`` lists every linking of a frame in the order of its full
 stream, pruned by nothing; ``has_cycle`` decides afterwards whether a
 whole linking closes a directed cycle in the frame oriented as an
-essential net. The search in ``proofstructure.enumerate_linkings``
-skips exactly the linkings that have a cycle or, with anchors, whose
-positions clash (``positions_clash``), so these are the references it
-is checked against. ``validate`` checks the role maps of an abstract
-proof structure against its elements.
+essential net, and ``escapes_scope`` whether a withdrawn hypothesis
+reaches the goal around its body there. The search in
+``proofstructure.enumerate_linkings`` skips exactly the linkings that
+have a cycle, escape a scope or, with anchors, whose positions clash
+(``positions_clash``), so these are the references it is checked
+against. ``validate`` checks the role maps of an abstract proof
+structure against its elements, ``check_structure`` the link discipline
+of a proof structure, and ``iter_redexes`` lists the redexes a full
+rescan finds, the reference for the contraction worklist.
 """
 
 from itertools import permutations, product
 
-from dispnet.proofstructure import place, realize
+from dispnet.aps import APS
+from dispnet.contraction import _match_element
+from dispnet.proofstructure import ProofStructure, place, realize
 
 
 def itertools_order(frame):
@@ -40,13 +46,14 @@ def linking(ps):
     return tuple((p, c) for c, p in ps.producer_of.items())
 
 
-def has_cycle(frame, linking):
-    """Whether the frame under ``linking`` ((producer, consumer) pairs)
-    has a directed cycle once oriented as an essential net (Lamarche):
-    a tensor link's premisses point at its conclusion, a par link whose
+def essential_net(frame, linking):
+    """The frame under ``linking`` ((producer, consumer) pairs) oriented
+    as an essential net (Lamarche), as the successors of each vertex: a
+    tensor link's premisses point at its conclusion, a par link whose
     main formula is its premiss (L*, Lo) points from it at both parts,
     another par link (R/, R\\, R^, R!) points from its premiss at its
-    main formula, and each axiom link points from producer to consumer."""
+    main formula, and each axiom link points from producer to
+    consumer."""
     edges = {v: [] for v in range(len(frame.formulas))}
     for link in frame.links:
         if link.kind == "par" and link.main not in link.premisses:
@@ -57,6 +64,13 @@ def has_cycle(frame, linking):
             edges[a].extend(targets)
     for producer, consumer in linking:
         edges[producer].append(consumer)
+    return edges
+
+
+def has_cycle(frame, linking):
+    """Whether the frame under ``linking`` has a directed cycle once
+    oriented as an essential net (``essential_net``)."""
+    edges = essential_net(frame, linking)
 
     # depth-first search with three colours: a grey vertex met again is
     # on the current path
@@ -78,6 +92,28 @@ def has_cycle(frame, linking):
             elif colour[w] == WHITE:
                 colour[w] = GREY
                 path.append((w, iter(edges[w])))
+    return False
+
+
+def escapes_scope(frame, linking):
+    """Whether, in the frame under ``linking`` oriented as an essential
+    net (``essential_net``), the withdrawn hypothesis of some R par link
+    (R/, R\\, R^, R!: the conclusion that is not the main formula)
+    reaches the goal along a path that avoids the link's premiss."""
+    edges = essential_net(frame, linking)
+    for link in frame.links:
+        if link.kind != "par" or link.main in link.premisses:
+            continue
+        (body,) = link.premisses
+        (hypothesis,) = (v for v in link.conclusions if v != link.main)
+        seen, stack = {hypothesis}, [hypothesis]
+        while stack:
+            for w in edges[stack.pop()]:
+                if w != body and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if frame.goal in seen:
+            return True
     return False
 
 
@@ -146,3 +182,38 @@ def validate(aps):
             if eid not in elements:
                 problems.append(f"{role}: {eid} is not a live element")
     return problems
+
+
+def check_structure(ps: ProofStructure) -> list:
+    """Validate the at-most-one-premiss / at-most-one-conclusion
+    discipline; returns violations (empty when fine)."""
+    violations = []
+    seen_premiss = {}
+    seen_conclusion = {}
+    for i, link in enumerate(ps.frame.links):
+        for v in map(ps.find, link.premisses):
+            if v in seen_premiss:
+                violations.append(f"vertex {v} premiss of links {seen_premiss[v]} and {i}")
+            seen_premiss[v] = i
+        for v in map(ps.find, link.conclusions):
+            if v in seen_conclusion:
+                violations.append(
+                    f"vertex {v} conclusion of links {seen_conclusion[v]} and {i}"
+                )
+            seen_conclusion[v] = i
+    for h in ps.frame.hypotheses:
+        if h in seen_conclusion:
+            violations.append(f"hypothesis {h} is the conclusion of a link")
+    if ps.goal in seen_premiss:
+        violations.append(f"goal {ps.goal} is the premiss of a link")
+    return violations
+
+
+def iter_redexes(aps: APS):
+    """All currently available redexes: structural ones in element-id
+    order, then logical ones in par-id order; and the number of
+    elements matched to find them."""
+    order = sorted(aps.combs.keys() | aps.crosses.keys()) + sorted(aps.pars)
+    found = [r for r in (_match_element(aps, eid) for eid in order)
+             if r is not None]
+    return found, len(order)

@@ -16,7 +16,7 @@ from dispnet.proofstructure import sequent_mismatches, unfold
 from dispnet.terms import SEP, StringTerm
 
 from conftest import LAMBEK_SIG, prove_lambek
-from support import all_linkings, has_cycle, linking
+from support import all_linkings, escapes_scope, has_cycle, linking
 
 RING_UP = """\
 np 0
@@ -188,6 +188,24 @@ def test_prove_with_a_repeated_word_reads_as_parse_does(tmp_path, capsys):
     code, out, _ = run(["prove", str(path), "x:np, x:np, y:np\\(np\\s) |- x+x+y:s",
                         "--all"], capsys)
     assert code == 0 and "readings=1\n" in out
+
+
+@pytest.mark.parametrize("mode, pruned, nets", [("parse", 45, 3), ("net", 42, 6)])
+def test_search_skips_linkings_that_escape_a_scope(mode, pruned, nets, tmp_path,
+                                                   capsys):
+    # with the entries of the benchmark grammar, the search also skips
+    # the linkings in which the np a quantifier's ^I withdraws reaches
+    # the goal around the clause it was withdrawn from; each is stuck, so
+    # every net is still found
+    tokens = "everyone thinks someone walks"
+    path = tmp_path / "quantifiers.gram"
+    path.write_text(grammar_text(tokens.split()))
+    code, out, _ = run(["parse", str(path), tokens, "--all", "--json",
+                        "--mode", mode], capsys)
+    assert code == 0
+    stats = json.loads(out)["stats"]
+    assert (stats["linkings"], stats["pruned"], stats["nets"],
+            stats["readings"]) == (48, pruned, nets, nets)
 
 
 def test_repeated_verb_chain_has_one_reading(tmp_path, capsys):
@@ -395,6 +413,14 @@ def cyclic_linkings(hyps, goal, sig):
     return sum(has_cycle(frame, linking(ps)) for ps in all_linkings(frame))
 
 
+def cut_linkings(hyps, goal, sig):
+    """How many linkings of the sequent's frame close a cycle or escape
+    a scope."""
+    frame = unfold(hyps, goal, sig)
+    return sum(has_cycle(frame, linking(ps)) or escapes_scope(frame, linking(ps))
+               for ps in all_linkings(frame))
+
+
 def random_lambek_formula(rng, conn):
     if conn == 0:
         return Atom(rng.choice(("np", "s")))
@@ -428,8 +454,9 @@ def test_derived_anchors_keep_readings_and_indexes(monkeypatch):
     plain = decide()
     assert [a[:2] for a in anchored] == [p[:2] for p in plain]
     assert sum(1 for readings, *_ in plain if readings) > 20
-    # without anchors only the linkings that close a cycle are skipped
-    assert [p for *_, p in plain] == [cyclic_linkings(hyps, goal, LAMBEK_SIG)
+    # without anchors only the linkings that close a cycle or escape a
+    # scope are skipped
+    assert [p for *_, p in plain] == [cut_linkings(hyps, goal, LAMBEK_SIG)
                                       for hyps, goal in sequents]
     assert sum(p for *_, p in plain) < sum(p for *_, p in anchored)
 

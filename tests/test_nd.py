@@ -1,10 +1,12 @@
 import random
+import sys
 from itertools import count
 
 import pytest
 
 from conftest import CORPUS_SIG, LAMBEK_SIG, prove_lambek
 from dispnet import cli, nd
+from dispnet import formula as fm
 from dispnet.contraction import is_proof_net
 from dispnet.formula import Atom, Signature, parse_formula, random_formula
 from dispnet.nd import (
@@ -96,6 +98,36 @@ def test_label_of_a_discharged_hypothesis_used_again_detected():
     assert check_nd(p, SIG) == ["hypothesis label 1 used twice"]
     with pytest.raises(NDError, match="hypothesis label 1 used twice"):
         net_of_nd(p, SIG)
+
+
+def test_check_nd_reads_each_subtree_once(monkeypatch):
+    # a chain of n /I over *I nodes, each /I withdrawing the s its *I
+    # joined on: the open hypotheses are carried up the one walk, not
+    # read off every body again
+    n = 400
+    s = F("s")
+    p = Hyp(0, T("a"), F("np"))
+    for label in range(1, n + 1):
+        q = Hyp(label, T(f"q{label}"), s)
+        body = Rule("*I", (p, q), T(f"a+q{label}"), fm.Prod(p.formula, s))
+        p = Rule("/I", (body,), T("a"), fm.Over(body.formula, s), None, (label,))
+    calls = 0
+    walk = nd.open_hyps
+
+    def counted(node):
+        nonlocal calls
+        calls += 1
+        return walk(node)
+
+    monkeypatch.setattr(nd, "open_hyps", counted)
+    # room for a recursive open_hyps, whose frames the wrapper doubles
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 4 * n)
+    try:
+        assert check_nd(p, SIG) == []
+    finally:
+        sys.setrecursionlimit(limit)
+    assert calls <= 4 * n
 
 
 def test_discharge_label_reused_in_another_scope_checks():

@@ -10,6 +10,8 @@ import pytest
 from conftest import CORPUS_SIG
 from support import (
     all_linkings,
+    check_structure,
+    escapes_scope,
     has_cycle,
     itertools_order,
     linking,
@@ -30,7 +32,6 @@ from dispnet.proofstructure import (
     CountMismatch,
     ProofFrame,
     ProofStructure,
-    check_structure,
     count_mismatches,
     enumerate_linkings,
     linking_count,
@@ -453,9 +454,10 @@ def small_d_frames():
 
 def test_search_skips_exactly_the_cyclic_linkings(proof_corpus):
     """The stream is the full stream less every linking that closes a
-    directed cycle (``has_cycle``) and, with anchors, every linking whose
-    positions clash, each at its index in the full stream; and every
-    linking with a cycle is stuck."""
+    directed cycle (``has_cycle``) or escapes a scope (``escapes_scope``)
+    and, with anchors, every linking whose positions clash, each at its
+    index in the full stream; and every linking with a cycle or an
+    escape is stuck, so no net is cut."""
     cases = []  # signature, frame, hypothesis terms, expected string, anchors
     for proof, *_ in proof_corpus:
         leaves, anchors = anchors_of(proof)
@@ -476,17 +478,18 @@ def test_search_skips_exactly_the_cyclic_linkings(proof_corpus):
     for sig, frame, terms, expected, anchors in cases:
         reference = [ps for ps in all_linkings(frame) if anchors is None
                      or not positions_clash(frame, anchors, linking(ps))]
-        cyclic = [has_cycle(frame, linking(ps)) for ps in reference]
+        cut = [has_cycle(frame, linking(ps)) or escapes_scope(frame, linking(ps))
+               for ps in reference]
         assert ([(ps.index, linking(ps)) for ps in enumerate_linkings(frame, anchors)]
                 == [(ps.index, linking(ps))
-                    for ps, cycle in zip(reference, cyclic) if not cycle])
+                    for ps, is_cut in zip(reference, cut) if not is_cut])
         if anchors is None:
-            for ps, cycle in zip(reference, cyclic):
-                if cycle:
+            for ps, is_cut in zip(reference, cut):
+                if is_cut:
                     assert is_proof_net(ps, terms, sig, expected).kind == "stuck"
                     assert is_proof_net(ps, terms, sig).kind == "stuck"
             linkings += len(reference)
-            dropped += sum(cyclic)
+            dropped += sum(cut)
     assert len(cases) > 900 and linkings > 10000 and dropped > linkings / 2
 
 
