@@ -70,16 +70,19 @@ class ParseResult:
     errors: list = field(default_factory=list)
 
 
-def run_sequent(hyp_pairs, goal_formula, sig, expected=None, mode="parse",
+def run_sequent(hyp_pairs, goal_formula, sig, expected=None,
                 all_readings=False, cover=(), anchors=None):
     """Decide one sequent; hyp_pairs are (StringTerm, Formula). With
+    ``expected`` (``parse`` mode) a net is a reading only when its comb
+    spells that string; with None (``net`` mode) every net is one. With
     ``anchors`` (see ``proofstructure.Anchors``) only linkings whose
-    string positions unify are contracted. Without them, in ``parse``
-    mode, anchors are read off the hypothesis terms and ``expected`` when
-    that reading is exact (``Anchors.of_terms``): a bare ``prove``
-    sequent, whose fresh one-word terms are the tokens of the string the
-    comb must spell, is pruned like a parsed sentence. An unbalanced
-    sequent is reported as a ``CountMismatch`` without being unfolded.
+    string positions unify are contracted. Without them, anchors are
+    read off the hypothesis terms and ``expected`` when that reading is
+    exact (``Anchors.of_terms``): a bare ``prove`` sequent, whose fresh
+    one-word terms are the tokens of the string the comb must spell, is
+    pruned like a parsed sentence, repeated words included. An
+    unbalanced sequent is reported as a ``CountMismatch`` without being
+    unfolded.
 
     Each net is one reading; readings are not compared. A proof is read
     off the frame along its linking, and the frame, a forest of formula
@@ -94,13 +97,12 @@ def run_sequent(hyp_pairs, goal_formula, sig, expected=None, mode="parse",
         return result
     frame = unfold(hypotheses, goal_formula, sig)
     terms = {h: t for h, (t, _) in zip(frame.hypotheses, hyp_pairs)}
-    want = expected if mode == "parse" else None
-    if anchors is None and want is not None:
-        anchors = Anchors.of_terms(sig, hyp_pairs, goal_formula, want)
+    if anchors is None and expected is not None:
+        anchors = Anchors.of_terms(sig, hyp_pairs, goal_formula, expected)
     stream = enumerate_linkings(frame, anchors)
     contracted = 0
     for ps in stream:
-        verdict = is_proof_net(ps, terms, sig, want)
+        verdict = is_proof_net(ps, terms, sig, expected)
         contracted += 1
         result.linkings_tried = ps.index + 1
         if verdict.kind != "stuck":
@@ -120,16 +122,16 @@ def run_sequent(hyp_pairs, goal_formula, sig, expected=None, mode="parse",
 def run_parse(grammar, tokens, goal=None, mode="parse", all_readings=False):
     goal = goal if goal is not None else grammar.goal_default
     combined = ParseResult(tokens=list(tokens), goal=goal)
-    expected = tm.StringTerm(tuple(tokens))
+    expected = tm.StringTerm(tuple(tokens)) if mode == "parse" else None
     sig = grammar.signature
     # a sentence is a sort-0 string, so only a sort-0 goal can spell it
-    anchored = mode == "parse" and sig.sort_of(goal) == 0
+    anchored = expected is not None and sig.sort_of(goal) == 0
     for cover in lx.lexical_covers(grammar, tokens):
         hyp_pairs = [(m.entry.string, m.entry.formula) for m in cover]
         anchors = (Anchors(sig, [m.spans for m in cover], ((0, len(tokens)),))
                    if anchored else None)
-        sub = run_sequent(hyp_pairs, goal, sig, expected, mode, all_readings,
-                          cover, anchors)
+        sub = run_sequent(hyp_pairs, goal, sig, expected, all_readings, cover,
+                          anchors)
         combined.linkings_tried += sub.linkings_tried
         combined.pruned += sub.pruned
         combined.nets_found += sub.nets_found
@@ -321,7 +323,8 @@ def cmd_prove(args) -> int:
         goal_term = tm.EMPTY
         for t, _ in hyp_pairs:
             goal_term = tm.concat(goal_term, t)
-    result = run_sequent(hyp_pairs, goal, sig, goal_term, args.mode, args.all)
+    result = run_sequent(hyp_pairs, goal, sig,
+                         goal_term if args.mode == "parse" else None, args.all)
     emit(result, args)
     return 0 if result.readings else 1
 

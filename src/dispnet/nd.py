@@ -239,13 +239,14 @@ RULES = {name: _spec(name, *rest) for name, *rest in (
 
 def apply_rule(name, mode, labels, kids, opened=None) -> Rule:
     """Build the node of rule ``name`` through its shape. ``opened``
-    holds the open hypotheses of the body, the last premiss, by label,
-    as ``open_hyps`` gives them, or the message of the NDError it
-    raises; by default they are read off the body. Raises NDError for an
-    unknown rule, a wrong number of premisses or labels, a mode missing
-    from ^, ! or o or given to another rule, a body whose hypotheses
-    clash or lack a label, premisses the rule does not fit, or a term
-    that lacks the separator it needs."""
+    maps labels to hypothesis leaves, at least the open ones of the
+    body, the last premiss, as ``open_hyps`` gives them, or is the
+    message of the NDError it raises; by default it is read off the
+    body. Raises NDError for an unknown rule, a wrong number of
+    premisses or labels, a mode missing from ^, ! or o or given to
+    another rule, a body whose hypotheses clash or lack a label,
+    premisses the rule does not fit, or a term that lacks the separator
+    it needs."""
     spec = RULES.get(name)
     if spec is None:
         raise NDError(f"unknown rule {name}")
@@ -444,23 +445,28 @@ def extract_nd(verdict: NetVerdict, sig) -> "Proof":
         if step.rule[0] in "*o":
             eliminations.setdefault(step.concl, []).append(frame.links[step.source])
 
+    # every hypothesis leaf made so far, by label: the labels are vertex
+    # ids, so one map serves every rule, and a withdrawn leaf's fresh
+    # words still let the rule's shape check where it sits in the body
+    made = {}
+
     def build(v):
         formula = frame.formulas[v]
         link = concluded_by.get(v)
         if link is None:
-            proof = Hyp(v, verdict.hyp_terms[v], formula)
+            proof = made[v] = Hyp(v, verdict.hyp_terms[v], formula)
         elif link.kind == "tensor":
             proof = apply_rule(_rule(link), link.mode, (),
                                [build(find(u)) for u in link.premisses])
         elif link.main == v:
             aux = tuple(u for u in link.conclusions if u != v)
             proof = apply_rule(_rule(link), link.mode, aux,
-                               [build(find(link.premisses[0]))])
+                               [build(find(link.premisses[0]))], made)
         else:
-            proof = Hyp(v, fresh.term(sig.sort_of(formula)), formula)
+            proof = made[v] = Hyp(v, fresh.term(sig.sort_of(formula)), formula)
         for par in eliminations.get(v, ()):
             proof = apply_rule(_rule(par), par.mode, par.conclusions,
-                               [build(find(par.premisses[0])), proof])
+                               [build(find(par.premisses[0])), proof], made)
         return proof
 
     try:
@@ -751,7 +757,7 @@ def nd_from_sexpr(text: str):
     rest = next(tokens, None)
     if rest is not None:
         raise NDError(f"trailing material {_show(rest)!r} after the proof")
-    return _build_sexpr(tree)
+    return _build_sexpr(tree)[0]
 
 
 def _label(head, text) -> int:
@@ -762,6 +768,9 @@ def _label(head, text) -> int:
 
 
 def _build_sexpr(tree):
+    """The proof of an s-expression, and its open hypotheses as
+    ``_merged`` gives them: labels may be reused across scopes, so each
+    subtree carries its own map up to its parent."""
     if not tree or not isinstance(tree[0], tuple) or tree[0][0] != "sym":
         raise NDError("a proof expression must start with a rule name")
     head, args = tree[0][1], tree[1:]
@@ -770,7 +779,8 @@ def _build_sexpr(tree):
         if kinds != ["sym", "str", "str"]:
             raise NDError('hyp: expected a label, a "term" and a "formula"')
         (_, label), (_, term), (_, formula) = args
-        return Hyp(_label(head, label), parse_term(term), fm.parse_formula(formula))
+        leaf = Hyp(_label(head, label), parse_term(term), fm.parse_formula(formula))
+        return leaf, {leaf.label: leaf}
     name = _BY_SEXPR.get(head)
     if name is None:
         raise NDError(f"unknown proof rule {head!r}")
@@ -782,8 +792,10 @@ def _build_sexpr(tree):
                       f", got {' '.join(map(_show, syms)) or 'none'}")
     mode = parse_mode(syms[0][1]) if moded else None
     labels = tuple(_label(head, a[1]) for a in syms[moded:])
-    return apply_rule(name, mode, labels,
-                      [_build_sexpr(a) for a in args if isinstance(a, list)])
+    built = [_build_sexpr(a) for a in args if isinstance(a, list)]
+    kids, opened = [kid for kid, _ in built], [got for _, got in built]
+    node = apply_rule(name, mode, labels, kids, opened[-1] if opened else None)
+    return node, _merged(opened, labels)
 
 
 # -- LaTeX --------------------------------------------------------------------

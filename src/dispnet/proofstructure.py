@@ -35,12 +35,13 @@ pieces, so each vertex carries 2k+2 position terms, the start and end
 of each piece. Hypotheses are anchored at the token spans of their
 pieces: those of a parse's lexical cover, or those of a proved
 sequent's string terms in the string its comb must spell, when that
-reading is exact (``Anchors.of_terms``). The goal is anchored at the
-whole sentence. Each link passes positions down to its subformulas by
-the concatenation or wrap its connective stands for, with fresh eigen
-constants (par links) or meta variables (tensor links) at the
-junctions it leaves open. An axiom link unifies the positions of its
-two atoms. If two distinct constants would meet, no linking that
+reading is exact (``Anchors.of_terms``; hypotheses with the same sort-0
+term and formula share a repeated word in hypothesis order). The goal
+is anchored at the whole sentence. Each link passes positions down to
+its subformulas by the concatenation or wrap its connective stands for,
+with fresh eigen constants (par links) or meta variables (tensor links)
+at the junctions it leaves open. An axiom link unifies the positions of
+its two atoms. If two distinct constants would meet, no linking that
 contains it can spell the sentence, so the search skips every such
 linking without contracting it. For the Lambek connectives this is the
 span constraint of Fowler (2009).
@@ -309,30 +310,40 @@ class Anchors:
         ((StringTerm, Formula) pairs) must spell ``expected`` under the
         goal formula ``goal``, read as a sentence whose tokens are the
         words of ``expected``. Returns None unless they are exact: the
-        goal and ``expected`` have sort 0, every word of ``expected``
-        occurs once there and once among the hypothesis terms, each term
-        has its formula's sort, and each piece of a term is a non-empty
-        run of consecutive words of ``expected``. Then every piece sits
-        at its one span, and the goal at the whole string."""
+        goal and ``expected`` have sort 0, the hypothesis terms hold each
+        word as often as ``expected`` does, each term has its formula's
+        sort, and each piece of a term is a non-empty run of consecutive
+        words. A repeated word's hypotheses must share one sort-0 term
+        and formula; swapping two is a symmetry of the frame, so they
+        take its occurrences in hypothesis order. Then every piece sits
+        at its span, and the goal at the whole string."""
         words = expected.words()
-        at = {w: i for i, w in enumerate(words)}
-        claimed = [w for term, _ in hyp_pairs for w in term.words()]
-        if (expected.sort or sig.sort_of(goal) or len(at) < len(words)
-                or len(claimed) != len(words) or set(claimed) != at.keys()):
+        if expected.sort or sig.sort_of(goal):
             return None
+        at = {}  # per word, its places in ``expected`` from last to first
+        for i in reversed(range(len(words))):
+            at.setdefault(words[i], []).append(i)
+        held = {}  # word -> the (term, formula) of each hypothesis holding it
         hypotheses = []
-        for term, formula in hyp_pairs:
+        for pair in hyp_pairs:
+            term, formula = pair
             if term.sort != sig.sort_of(formula):
                 return None
             spans = []
             for piece in term.pieces():
-                if not piece:
+                places = []
+                for w in piece:
+                    left = at.get(w)
+                    if (not left or held.setdefault(w, pair) != pair
+                            or term.sort and len(left) > 1):
+                        return None
+                    places.append(left.pop())
+                if not places or places != list(range(places[0], places[-1] + 1)):
                     return None
-                start = at[piece[0]]
-                if [at[w] - start for w in piece] != list(range(len(piece))):
-                    return None
-                spans.append((start, start + len(piece)))
+                spans.append((places[0], places[-1] + 1))
             hypotheses.append(tuple(spans))
+        if any(at.values()):
+            return None
         return cls(sig, tuple(hypotheses), ((0, len(words)),))
 
 
@@ -422,19 +433,24 @@ def enumerate_linkings(frame: ProofFrame, anchors: Anchors | None = None):
     linkings come in lexicographic order of their producer permutations.
     Each structure's ``index`` is its place in that order.
 
-    With ``anchors``, each link of a producer to a consumer unifies
-    their string positions (see ``place``); where two distinct constants
-    meet, no linking below that choice can spell the anchored sentence,
-    and the search skips them all. With or without anchors, a producer
-    is not linked to a consumer that already reaches it along the
+    Each link of a producer to a consumer must pass one admission test.
+    With ``anchors``, it unifies their string positions (see ``place``)
+    and is refused where two distinct constants meet: no linking below
+    it can spell the anchored sentence. With or without anchors, it is
+    refused when the consumer already reaches the producer along the
     frame's essential-net edges and the axiom links chosen so far (see
-    the module docstring): the link would close a directed cycle, so no
-    linking below that choice is a proof net, and the search skips them
-    all too. Nor is it linked when the link would let the withdrawn
-    hypothesis of an R par link reach the goal around the link's body.
-    Links only add paths, so a cycle or an escape found at a choice
-    holds for every linking below it. The places of skipped linkings in
-    the order are not reused, so indexes stay those of the full stream.
+    the module docstring), as it would close a directed cycle, or when
+    it lets the withdrawn hypothesis of an R par link reach the goal
+    around the link's body. Links only add paths, so a cycle or an
+    escape found at a choice holds for every linking below it, and a
+    refusal skips them all. Their places in the order are not reused,
+    so indexes stay those of the full stream.
+
+    One walker, ``reach``, serves both graph tests. Each R par link
+    keeps the set of vertices its hypothesis reaches around its body,
+    built before the first choice; a link grows only the sets that hold
+    its producer. One trail records the unified points and the vertices
+    added to those sets, and a slot pops it back to its length there.
 
     Raises CountMismatch immediately when some atom is unbalanced (the
     stream would be empty)."""
@@ -442,6 +458,7 @@ def enumerate_linkings(frame: ProofFrame, anchors: Anchors | None = None):
     if mismatches:
         raise CountMismatch(mismatches)
     pos, const = place(frame, anchors) if anchors is not None else (None, ())
+    succ, bodies = _essential_edges(frame)
     # per consumer slot, in search order: its vertex, its atom's sorted
     # producers, their shared used flags, and how many linkings of the
     # full stream lie below one choice at that slot
@@ -459,16 +476,14 @@ def enumerate_linkings(frame: ProofFrame, anchors: Anchors | None = None):
 
     def stream():
         parent = list(range(len(const)))
-        trail = []
-
-        def find(x):
-            while parent[x] != x:
-                x = parent[x]
-            return x
+        trail = []      # a unified point, or a (reach set, vertex) pair
 
         def unify(xs, ys):
             for a, b in zip(xs, ys):
-                a, b = find(a), find(b)
+                while parent[a] != a:
+                    a = parent[a]
+                while parent[b] != b:
+                    b = parent[b]
                 if a == b:
                     continue
                 if const[a]:
@@ -479,54 +494,45 @@ def enumerate_linkings(frame: ProofFrame, anchors: Anchors | None = None):
                 trail.append(a)
             return True
 
-        def undo(s):
-            unified, spread_to = mark[s]
-            while len(trail) > unified:
-                x = trail.pop()
-                parent[x] = x
-            while len(grown) > spread_to:
-                reach, v = grown.pop()
-                reach.discard(v)
-
-        def spread(reach, body, v, note):
-            """Add to ``reach`` every vertex that ``v`` reaches and it
-            lacks, passing neither ``body`` nor vertices already in it,
-            each noted in ``note``; True as soon as the goal is added."""
+        def reach(seen, avoid, v, target, note):
+            """Add to ``seen`` every vertex that ``v`` reaches along
+            ``succ``, passing neither ``avoid`` nor a vertex already in
+            ``seen``, each noted in ``note``; True as soon as ``target``
+            is reached."""
             stack = []
-            if v != body and v not in reach:
-                reach.add(v)
-                note.append((reach, v))
+            if v != avoid and v not in seen:
+                seen.add(v)
+                note.append((seen, v))
                 stack.append(v)
             while stack:
                 v = stack.pop()
-                if v == goal:
+                if v == target:
                     return True
-                axiom = linked.get(v)
-                for w in succ.get(v, ()) if axiom is None else (axiom,):
-                    if w != body and w not in reach:
-                        reach.add(w)
-                        note.append((reach, w))
+                for w in succ.get(v, ()):
+                    if w != avoid and w not in seen:
+                        seen.add(w)
+                        note.append((seen, w))
                         stack.append(w)
             return False
 
-        def escapes(producer, consumer):
-            """Whether linking ``producer`` to ``consumer`` lets a
-            withdrawn hypothesis reach the goal around its body: only a
-            scope whose hypothesis reaches the producer can gain a path."""
-            for reach, body in scopes:
-                if producer in reach and spread(reach, body, consumer, grown):
-                    return True
-            return False
+        def admits(producer, consumer):
+            """Whether the link passes the positions, cycle and scopes."""
+            if pos is not None and not unify(pos[producer], pos[consumer]):
+                return False
+            if reach(set(), None, consumer, producer, []):
+                return False
+            for seen, body in scopes:
+                if producer in seen and reach(seen, body, consumer, frame.goal, trail):
+                    return False
+            return True
 
-        goal = frame.goal
-        succ = None     # built at the first link that positions allow
-        scopes = None   # per R par link: what its withdrawn hypothesis
-                        # reaches around its body so far, and the body
-        grown = []      # (reach, vertex) per vertex added to a reach
-        linked = {}     # producer -> consumer, the axiom links made so far
+        # per R par link: what its hypothesis reaches around its body, and the body
+        scopes = [(set(), body) for _, body in bodies]
+        for (seen, body), (hypothesis, _) in zip(scopes, bodies):
+            reach(seen, body, hypothesis, frame.goal, [])
         n = len(consumers)
         pick = [-1] * n
-        mark = [None] * n  # per slot: len(trail), len(grown) before its pick
+        mark = [0] * n  # per slot: len(trail) before its pick
         index = 0
         s = 0
         while s >= 0:
@@ -538,26 +544,21 @@ def enumerate_linkings(frame: ProofFrame, anchors: Anchors | None = None):
                 continue
             producers, used, j = candidates[s], taken[s], pick[s]
             if j < 0:
-                mark[s] = (len(trail), len(grown))
+                mark[s] = len(trail)
             else:
                 used[j] = False
-                del linked[producers[j]]
-                undo(s)
+                del succ[producers[j]]
             for j in range(j + 1, len(producers)):
                 if used[j]:
                     continue
-                if pos is None or unify(pos[producers[j]], pos[consumers[s]]):
-                    if succ is None:
-                        succ, bodies = _essential_edges(frame)
-                        scopes = []
-                        for hypothesis, body in bodies:
-                            reach = set()
-                            spread(reach, body, hypothesis, [])
-                            scopes.append((reach, body))
-                    if not (_reaches(succ, linked, consumers[s], producers[j])
-                            or escapes(producers[j], consumers[s])):
-                        break
-                undo(s)
+                while len(trail) > mark[s]:
+                    x = trail.pop()
+                    if type(x) is int:
+                        parent[x] = x
+                    else:
+                        x[0].discard(x[1])
+                if admits(producers[j], consumers[s]):
+                    break
                 index += below[s]
             else:
                 pick[s] = -1
@@ -565,21 +566,17 @@ def enumerate_linkings(frame: ProofFrame, anchors: Anchors | None = None):
                 continue
             used[j] = True
             pick[s] = j
-            linked[producers[j]] = consumers[s]
+            succ[producers[j]] = (consumers[s],)
             s += 1
 
     return stream()
 
 
 def _essential_edges(frame: ProofFrame):
-    """The frame oriented as an essential net, as the successors of each
-    vertex: a tensor link's premisses point at its conclusion, an R par
-    link's premiss at its main formula, and an L par link's compound, its
-    premiss, at each of its parts. A vertex is the premiss of at most one
-    link, so it gets its successors from one link. No producer has any
-    here; its axiom link gives it one. Also the withdrawn hypothesis and
-    the body of each R par link: the conclusion that is not its main
-    formula, and its premiss."""
+    """The frame oriented as an essential net (see the module docstring),
+    as each vertex's successors, and each R par link's withdrawn
+    hypothesis and body. A vertex is the premiss of at most one link; a
+    producer is of none, so the search adds its axiom link here."""
     succ = {}
     bodies = []
     for link in frame.links:
@@ -593,23 +590,6 @@ def _essential_edges(frame: ProofFrame):
         for v in link.premisses:
             succ[v] = targets
     return succ, bodies
-
-
-def _reaches(succ, linked, consumer, producer):
-    """Whether ``consumer`` reaches ``producer`` along the frame's edges
-    ``succ`` and the axiom links made so far (``linked``, producer to
-    consumer): linking the two would close a directed cycle."""
-    seen, stack = {consumer}, [consumer]
-    while stack:
-        v = stack.pop()
-        if v == producer:
-            return True
-        axiom = linked.get(v)
-        for w in succ.get(v, ()) if axiom is None else (axiom,):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return False
 
 
 def realize(frame: ProofFrame, producer_of, index=0) -> ProofStructure:

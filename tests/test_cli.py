@@ -177,9 +177,6 @@ def test_repeated_words_read_like_renamed_apart():
     assert repeats > 20 and readings > 40
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "prove does not anchor a repeated word (Anchors.of_terms returns None), "
-    "so the two x hypotheses trade places and give a second reading"))
 def test_prove_with_a_repeated_word_reads_as_parse_does(tmp_path, capsys):
     path = tmp_path / "xy.gram"
     path.write_text("np 0\ns 0\nx := x : np\ny := y : np\\(np\\s)\n")
@@ -367,18 +364,14 @@ def test_prove_contracts_only_anchored_linkings(sequent, linkings, sig_file, cap
     assert stats["linkings"] - stats["pruned"] == stats["nets"]
 
 
-REPEATED_WORD = "a:np, t:(np\\s)/s, a:np, w:np\\s |- a+t+a+w:s"
+REPEATED_WORD = "a:np, t:(np\\s)/s, a:s/s, w:s |- a+t+a+w:s"
 REPEATED_WORD_OUT = """\
 goal: s
-reading 1 (linking 1):
+reading 1 (linking 3):
   comb: a+t+a+w : s
   proof: (under_e (hyp 0 "a" "np") (over_e (hyp 1 "t" "(np\\s)/s") \
-(under_e (hyp 6 "a" "np") (hyp 7 "w" "np\\s"))))
-reading 2 (linking 3):
-  comb: a+t+a+w : s
-  proof: (under_e (hyp 6 "a" "np") (over_e (hyp 1 "t" "(np\\s)/s") \
-(under_e (hyp 0 "a" "np") (hyp 7 "w" "np\\s"))))
-stats: linkings=4 nets=2 readings=2
+(over_e (hyp 6 "a" "s/s") (hyp 9 "w" "s"))))
+stats: linkings=6 nets=2 readings=1
 """
 EMPTY_PIECE = "1+up:(np\\s)^>np, m:np, e:np |- m+e+up:s"
 EMPTY_PIECE_OUT = """\

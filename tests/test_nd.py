@@ -102,8 +102,9 @@ def test_label_of_a_discharged_hypothesis_used_again_detected():
 
 def test_check_nd_reads_each_subtree_once(monkeypatch):
     # a chain of n /I over *I nodes, each /I withdrawing the s its *I
-    # joined on: the open hypotheses are carried up the one walk, not
-    # read off every body again
+    # joined on: checking it, reading it from its s-expression and
+    # extracting it from its net carry the open hypotheses up the one
+    # walk, and read them off no body again
     n = 400
     s = F("s")
     p = Hyp(0, T("a"), F("np"))
@@ -119,15 +120,25 @@ def test_check_nd_reads_each_subtree_once(monkeypatch):
         calls += 1
         return walk(node)
 
-    monkeypatch.setattr(nd, "open_hyps", counted)
-    # room for a recursive open_hyps, whose frames the wrapper doubles
+    # room for the recursive walks, whose frames the wrapper doubles
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + 4 * n)
     try:
+        text = nd_to_sexpr(p)
+        ps, terms, _, _ = net_of_nd(p, SIG)
+        verdict = is_proof_net(ps, terms, SIG)
+        monkeypatch.setattr(nd, "open_hyps", counted)
         assert check_nd(p, SIG) == []
+        assert calls <= 4 * n
+        calls = 0
+        assert nd_to_sexpr(nd_from_sexpr(text)) == text
+        assert calls <= 4 * n
+        calls = 0
+        extracted = extract_nd(verdict, SIG)
+        assert (extracted.term, extracted.formula) == (p.term, p.formula)
+        assert calls <= 4 * n
     finally:
         sys.setrecursionlimit(limit)
-    assert calls <= 4 * n
 
 
 def test_discharge_label_reused_in_another_scope_checks():
@@ -501,12 +512,11 @@ def test_proofs_equal_mod_discharge():
     assert canonical_proof(build(50)) != canonical_proof(Hyp(0, T("a"), F("np")))
 
 
-def distinct_readings(hyp_pairs, goal, sig, expected, mode):
+def distinct_readings(hyp_pairs, goal, sig, expected):
     """The number of readings of one sequent's stream, after checking
     that no two of them are the same proof up to discharge labels: every
     net is a reading, with no dedupe, so extraction must be injective."""
-    result = cli.run_sequent(hyp_pairs, goal, sig, expected, mode,
-                             all_readings=True)
+    result = cli.run_sequent(hyp_pairs, goal, sig, expected, all_readings=True)
     proofs = [canonical_proof(r.proof) for r in result.readings]
     assert len(set(proofs)) == len(proofs), [nd_to_sexpr(p) for p in proofs]
     return len(proofs)
@@ -520,7 +530,7 @@ def test_extraction_is_injective_on_corpus(proof_corpus, mode, floor):
         frame = unfold([f for _, f in hyp_pairs], proof.formula, CORPUS_SIG)
         if linking_count(frame) <= 200:
             readings += distinct_readings(hyp_pairs, proof.formula, CORPUS_SIG,
-                                          proof.term, mode)
+                                          proof.term if mode == "parse" else None)
     assert readings > floor
 
 
@@ -537,7 +547,7 @@ def test_extraction_is_injective_on_random_d_sequents():
         sequents += 1
         fresh = FreshVars("x")
         hyp_pairs = [(fresh.term(sig.sort_of(f)), f) for f in hyps]
-        readings += distinct_readings(hyp_pairs, goal, sig, None, "net")
+        readings += distinct_readings(hyp_pairs, goal, sig, None)
     assert readings > 1000
 
 

@@ -412,6 +412,51 @@ def test_pruning_keeps_every_net_on_corpus(proof_corpus):
     assert checked > 200
 
 
+@pytest.fixture(scope="module")
+def anchored_survivors(proof_corpus):
+    """Every linking that the stream of each corpus proof, anchored at
+    its own term (``anchors_of``) and uncapped, yields: its corpus
+    index, its index in the full stream and its verdict."""
+    survivors = []
+    for i, (proof, *_) in enumerate(proof_corpus):
+        leaves, anchors = anchors_of(proof)
+        frame = unfold([h.formula for h in leaves], proof.formula, CORPUS_SIG)
+        terms = {v: h.term for v, h in zip(frame.hypotheses, leaves)}
+        survivors.extend((i, ps.index, is_proof_net(ps, terms, CORPUS_SIG, proof.term))
+                         for ps in enumerate_linkings(frame, anchors))
+    return survivors
+
+
+# (corpus proof, linking index) of the anchored survivors that stop with
+# a par link waiting on a separator that a pending par link reserves (the
+# [*] deadlock); only proofs 37, 721, 744 and 943 have no net at all
+DEADLOCKED = {
+    (37, 11321339161), (342, 7631689777689781525801), (433, 28050609497112),
+    (471, 2140153197876), (495, 1679641), (665, 3092699473944),
+    (665, 10001208913944), (721, 6479118036432143), (721, 6479118036475583),
+    (744, 0), (920, 318819307113), (943, 0), (970, 297725),
+}
+
+
+def test_anchored_survivors_contract(anchored_survivors):
+    # positions, acyclicity and scope leave only nets: the search is as
+    # strict as contraction, apart from the deadlock
+    stuck = [f"proof {i} linking {index} ({verdict.kind}): "
+             + "; ".join(report.fmt() for report in verdict.trace.stuck)
+             for i, index, verdict in anchored_survivors
+             if not verdict.is_net and (i, index) not in DEADLOCKED]
+    assert not stuck, "\n".join(stuck)
+    assert len(anchored_survivors) > 1300
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "contraction deadlock: a par link waits on a separator that a pending "
+    "[*], [o<] or [o1] par link reserves"))
+def test_deadlocked_anchored_survivors_contract(anchored_survivors):
+    verdicts = {(i, index): verdict for i, index, verdict in anchored_survivors}
+    assert [pair for pair in sorted(DEADLOCKED) if not verdicts[pair].is_net] == []
+
+
 def test_derived_anchors_keep_every_net_on_corpus(proof_corpus):
     # the anchors ``run_sequent`` reads off a sequent's terms when no
     # cover gives them: for a sort-0 conclusion with distinct words they
@@ -553,14 +598,27 @@ def test_structure_read_through_linking_matches_copy(proof_corpus):
 
 @pytest.mark.parametrize("hyps, expected", [
     (["x", "y"], "x+y+z"),         # a word no hypothesis has
-    (["x", "x"], "x+x"),           # a repeated word
+    (["x", "x:n"], "x+x"),         # a repeated word of two formulas
     (["x", "y+x"], "x+y"),         # a word claimed twice
     (["y+x", "z"], "x+y+z"),       # a piece out of order
     (["0", "x"], "x"),             # an empty term
 ], ids=["unclaimed", "repeated", "claimed-twice", "out-of-order", "empty"])
 def test_of_terms_falls_back_unless_exact(hyps, expected):
-    pairs = [(parse_term(t), Atom("np")) for t in hyps]
+    # each hypothesis is a term, of formula np unless it names an atom
+    pairs = [(parse_term(t), Atom(atom or "np"))
+             for t, _, atom in (h.partition(":") for h in hyps)]
     assert Anchors.of_terms(SIG, pairs, GOAL_S, parse_term(expected)) is None
+
+
+def test_of_terms_anchors_a_repeated_word_in_hypothesis_order():
+    # hypotheses with the same sort-0 term and formula take the word's
+    # occurrences in their order; a word repeated in a sort-1 term gets
+    # no anchors, as two copies of the term can nest or cross
+    x, y = (parse_term("x"), Atom("np")), (parse_term("y"), Atom("n"))
+    anchors = Anchors.of_terms(SIG, [x, y, x], GOAL_S, parse_term("x+x+y"))
+    assert anchors.hypotheses == (((0, 1),), ((2, 3),), ((1, 2),))
+    up = (parse_term("r+1+up"), parse_formula("(np\\s)^>np"))
+    assert Anchors.of_terms(SIG, [up, up], GOAL_S, parse_term("r+r+up+up")) is None
 
 
 def test_of_terms_reads_ring_up_anchors():
