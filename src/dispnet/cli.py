@@ -243,8 +243,8 @@ def _result_json(result, mode, latex, trace):
     }
 
 
-def _print_result(result, mode, latex, trace, out=None):
-    w = (out or sys.stdout).write
+def _print_result(result, latex, trace):
+    w = sys.stdout.write
     if result.tokens:
         w(f"sentence: {' '.join(result.tokens)}\n")
     w(f"goal: {fm.format_formula(result.goal)}\n")
@@ -369,7 +369,7 @@ def emit(result, args):
         print(json.dumps(_result_json(result, args.mode, args.latex,
                                       args.trace), sort_keys=True, indent=2))
     else:
-        _print_result(result, args.mode, args.latex, args.trace)
+        _print_result(result, args.latex, args.trace)
 
 
 def main(argv=None) -> int:

@@ -39,8 +39,11 @@ has one of two shapes.
            the main vertex. For [*] and [ok] the item is the par link's
            premiss vertex.
 
-Stuck structures are data: each remaining par link reports which
-geometric condition failed, in ``ContractionTrace.stuck``.
+One matcher, ``_match``, gives the redex an element offers, or else the
+reason it is stuck. The worklist below keeps the redexes; at a normal
+form that is not one comb, ``diagnose`` keeps the reasons: stuck
+structures are data, one report in ``ContractionTrace.stuck`` for each
+par link, cross link and self-feeding comb left.
 
 The engine is a worklist. A ready table maps each live element to the
 redex it offers, structural elements (combs, cross links) apart from
@@ -90,8 +93,10 @@ class Redex:
     comb: int           # target comb id
     data: tuple = ()    # rule-specific positions
 
-    def label(self) -> str:
-        return self.rule + (str(self.mode) if self.mode is not None else "")
+
+def _label(rule: str, mode: Mode | None) -> str:
+    """A rule's tag in traces and stuck reports, such as ``x>`` or ``+``."""
+    return rule + (str(mode) if mode is not None else "")
 
 
 @dataclass
@@ -196,51 +201,41 @@ def _sep_available(aps, item, insert_row) -> bool:
 
 
 def _designated_sep(aps, row, mode, insert_row):
-    """Index of the mode-designated separator of a comb row, or a
-    reason string.
+    """Index of the mode-designated separator of a comb row, or the
+    reason there is none.
 
     The separator must be exposed: the sort of the prefix before it has
-    to be 0 (mode >), n-1 (mode n), or the suffix after it 0 (mode <).
-    A higher-sort point hides its separators, so rows can fail here
-    until inner material has contracted; a separator reserved by a
+    to be 0 (mode >) or n-1 (mode n); mode < is mode > read from the
+    right. A higher-sort point hides its separators, so rows can fail
+    here until inner material has contracted; a separator reserved by a
     pending par link blocks the cross until that link fires."""
-    if mode.kind == "<":
-        for i in range(len(row) - 1, -1, -1):
-            if aps.item_sort(row[i]):
-                if not is_separator(row[i]):
-                    return None, f"separator {mode} hidden inside a point"
-                if not _sep_available(aps, row[i], insert_row):
-                    return None, "separator is reserved by a pending par link"
-                return i, None
-        return None, f"row has no separator for mode {mode}"
-    want = 0 if mode.kind == ">" else mode.index - 1
+    want = mode.index - 1 if mode.kind == "@" else 0
+    order = range(len(row) - 1, -1, -1) if mode.kind == "<" else range(len(row))
     acc = 0
-    for i, it in enumerate(row):
+    for i in order:
+        it = row[i]
         if is_separator(it):
             if acc == want:
                 if not _sep_available(aps, it, insert_row):
-                    return None, "separator is reserved by a pending par link"
-                return i, None
+                    return "separator is reserved by a pending par link"
+                return i
             acc += 1
         else:
             acc += aps.item_sort(it)
             if acc > want:
-                return None, f"separator {mode} hidden inside a point"
-    return None, f"row has no separator for mode {mode}"
+                return f"separator {mode} hidden inside a point"
+    return f"row has no separator for mode {mode}"
 
 
 def _match_cross(aps, t):
     left = aps.concl_of.get(t.left)
     if left not in aps.combs:
-        return None, f"left premiss v{t.left} is not a comb conclusion"
+        return f"left premiss v{t.left} is not a comb conclusion"
     right = aps.concl_of.get(t.right)
     if right not in aps.combs:
-        return None, f"right premiss v{t.right} is not a comb conclusion"
-    kl = aps.combs[left]
-    pos, reason = _designated_sep(aps, kl.row, t.mode, aps.combs[right].row)
-    if pos is None:
-        return None, reason
-    return Redex("x", t.mode, t.tid, left, (right, pos)), None
+        return f"right premiss v{t.right} is not a comb conclusion"
+    pos = _designated_sep(aps, aps.combs[left].row, t.mode, aps.combs[right].row)
+    return pos if type(pos) is str else Redex("x", t.mode, t.tid, left, (right, pos))
 
 
 # The strip rules, with why each fails: the row is too short, or its
@@ -261,13 +256,13 @@ _REPLACES = {
 
 
 def _match_par(aps, p):
-    """The redex par link ``p`` offers, or None and the reason it is
-    stuck. Its rule strips its block off a comb or replaces a pattern
-    of its blocks by one item; the module docstring gives both shapes."""
+    """The redex par link ``p`` offers, or the reason it is stuck. Its
+    rule strips its block off a comb or replaces a pattern of its blocks
+    by one item; the module docstring gives both shapes."""
     if p.tag not in ("*", "o"):
         cid = aps.concl_of.get(p.premiss)
         if cid not in aps.combs:
-            return None, f"premiss v{p.premiss} is not a comb conclusion yet"
+            return f"premiss v{p.premiss} is not a comb conclusion yet"
     block = _block_items(p, 0)
     if p.tag in ("!", "o"):  # cut at the mode's separator, dropping it
         cut = 2 * p.mode.slot(len(p.groups[0]) - 1) - 1
@@ -279,84 +274,82 @@ def _match_par(aps, p):
         row = aps.combs[cid].row
         short, bad_prefix, bad_suffix = _STRIPS[p.tag]
         if len(row) < len(prefix) + len(suffix):
-            return None, short
+            return short
         if not _slice_matches(row, 0, prefix):
-            return None, bad_prefix
+            return bad_prefix
         if not _slice_matches(row, len(row) - len(suffix), suffix):
-            return None, bad_suffix
-        return Redex(p.tag, p.mode, p.pid, cid, (len(prefix), len(suffix))), None
+            return bad_suffix
+        return Redex(p.tag, p.mode, p.pid, cid, (len(prefix), len(suffix)))
     first = p.groups[0][0]
     at = aps.premiss_at[first]  # a tether point only ever sits in a comb row
     row = aps.combs[at].row
     i = row.index(first)
     pattern = block if p.tag == "^" else prefix + _block_items(p, 1) + suffix
     if not _slice_matches(row, i, pattern):
-        return None, _REPLACES[p.tag].format(first)
+        return _REPLACES[p.tag].format(first)
     if p.tag == "^":
         if at != cid:
-            return None, "auxiliary block lies outside the premiss comb"
+            return "auxiliary block lies outside the premiss comb"
         # the separator left in the block's place must be the mode's
         pre = aps.row_sort(row[:i])
         if p.mode.slot(aps.points[p.main]) != pre + 1:
             if p.mode.kind == "@":
-                return None, (f"prefix left of the infix has sort {pre}, "
-                              f"mode needs {p.mode.index - 1}")
+                return (f"prefix left of the infix has sort {pre}, "
+                        f"mode needs {p.mode.index - 1}")
             side = "prefix left" if p.mode.kind == ">" else "suffix right"
-            return None, f"{side} of the infix has nonzero sort"
-    return Redex(p.tag, p.mode, p.pid, at, (i, len(pattern))), None
+            return f"{side} of the infix has nonzero sort"
+    return Redex(p.tag, p.mode, p.pid, at, (i, len(pattern)))
 
 
-def _match_element(aps: APS, eid: int):
-    """The redex that element ``eid`` (comb, cross link or par link)
-    offers in the current state, or None."""
+def _match(aps: APS, eid: int):
+    """What element ``eid`` (comb, cross link or par link) gives in the
+    current state: the redex it offers, else the reason it is stuck; a
+    comb that only waits for the element below it gives None."""
     comb = aps.combs.get(eid)
-    if comb is not None:
-        consumer = aps.premiss_at.get(comb.concl)
-        # a comb feeding itself (cyclic linking) is permanently stuck
-        if consumer in aps.combs and consumer != eid:
-            return Redex("+", None, eid, consumer)
-        return None
-    if eid in aps.crosses:
-        return _match_cross(aps, aps.crosses[eid])[0]
-    return _match_par(aps, aps.pars[eid])[0]
+    if comb is None:
+        if eid in aps.crosses:
+            return _match_cross(aps, aps.crosses[eid])
+        return _match_par(aps, aps.pars[eid])
+    consumer = aps.premiss_at.get(comb.concl)
+    if consumer == eid:
+        return "comb feeds itself (cyclic linking)"
+    if consumer in aps.combs:
+        return Redex("+", None, eid, consumer)
+    return None
+
+
+def _splice(aps: APS, comb, pos: int, spliced) -> None:
+    """Put comb ``spliced``'s row in place of item ``pos`` of ``comb``'s
+    row; its points become premisses of ``comb``, and it goes."""
+    comb.row[pos:pos + 1] = spliced.row
+    for it in spliced.row:
+        if type(it) is int:
+            aps.premiss_at[it] = comb.cid
+    del aps.combs[spliced.cid]
 
 
 def apply_redex(aps: APS, redex: Redex) -> ContractionStep:
     rule = redex.rule
-    if rule == "+":
-        k1 = aps.combs[redex.element]
-        k2 = aps.combs[redex.comb]
-        pos = k2.row.index(k1.concl)
-        k2.row[pos:pos + 1] = k1.row
-        for it in k1.row:
-            if type(it) is int:
-                aps.premiss_at[it] = k2.cid
-        aps.drop_point(k1.concl)
-        del aps.combs[k1.cid]
-        return ContractionStep("+", (k1.cid,), k2.cid, k2.concl,
-                               tuple(k2.row))
-
-    if rule == "x":
-        t = aps.crosses[redex.element]
-        kl = aps.combs[redex.comb]
-        kr_cid, pos = redex.data
-        kr = aps.combs[kr_cid]
-        kl.row[pos:pos + 1] = kr.row
-        for it in kr.row:
-            if type(it) is int:
-                aps.premiss_at[it] = kl.cid
-        aps.drop_point(t.left)
-        aps.drop_point(t.right)
-        kl.concl = t.concl
-        aps.concl_of[t.concl] = kl.cid
-        del aps.combs[kr.cid]
-        del aps.crosses[t.tid]
-        return ContractionStep(
-            redex.label(), (t.tid, kr.cid), kl.cid, kl.concl, tuple(kl.row))
-
-    par = aps.pars[redex.element]
     comb = aps.combs[redex.comb]
     row = comb.row
+    if rule == "+":
+        fed = aps.combs[redex.element]
+        _splice(aps, comb, row.index(fed.concl), fed)
+        aps.drop_point(fed.concl)
+        return ContractionStep("+", (fed.cid,), comb.cid, comb.concl, tuple(row))
+
+    if rule == "x":
+        t = aps.crosses.pop(redex.element)
+        right, pos = redex.data
+        _splice(aps, comb, pos, aps.combs[right])
+        aps.drop_point(t.left)
+        aps.drop_point(t.right)
+        comb.concl = t.concl
+        aps.concl_of[t.concl] = comb.cid
+        return ContractionStep(
+            _label(rule, t.mode), (t.tid, right), comb.cid, comb.concl, tuple(row))
+
+    par = aps.pars.pop(redex.element)
     if rule in _STRIPS:
         plen, slen = redex.data
         row[:] = row[plen:len(row) - slen]
@@ -373,27 +366,18 @@ def apply_redex(aps: APS, redex: Redex) -> ContractionStep:
     for group in par.groups:
         for q in group:
             aps.drop_point(q)
-    del aps.pars[par.pid]
-    return ContractionStep(
-        redex.label(), (par.pid,), comb.cid, comb.concl, tuple(row), par.source
-    )
+    return ContractionStep(_label(rule, par.mode), (par.pid,), comb.cid,
+                           comb.concl, tuple(row), par.source)
 
 
 def diagnose(aps: APS) -> list:
-    reports = []
-    for pid in sorted(aps.pars):
-        p = aps.pars[pid]
-        _, reason = _match_par(aps, p)
-        tag = p.tag + (str(p.mode) if p.mode is not None else "")
-        reports.append(StuckReport(pid, tag, reason or "no failure recorded"))
-    for tid in sorted(aps.crosses):
-        t = aps.crosses[tid]
-        _, reason = _match_cross(aps, t)
-        reports.append(StuckReport(tid, f"x{t.mode}", reason or "blocked"))
-    for cid in sorted(aps.combs):
-        c = aps.combs[cid]
-        if aps.premiss_at.get(c.concl) == cid:
-            reports.append(StuckReport(cid, "+", "comb feeds itself (cyclic linking)"))
+    """Why a normal form is stuck: the reason of each par link, then of
+    each cross link, then of each self-feeding comb, by id."""
+    tagged = [(pid, _label(p.tag, p.mode)) for pid, p in sorted(aps.pars.items())]
+    tagged += [(tid, _label("x", t.mode)) for tid, t in sorted(aps.crosses.items())]
+    tagged += [(cid, "+") for cid in sorted(aps.combs)]
+    reports = [StuckReport(eid, tag, reason) for eid, tag in tagged
+               if type(reason := _match(aps, eid)) is str]
     if not reports and len(aps.combs) > 1:
         reports.append(StuckReport(-1, "+", "disconnected combs remain"))
     return reports
@@ -427,11 +411,11 @@ def contract(aps: APS, select=None) -> ContractionTrace:
     def rematch(eids):
         for eid in eids:
             table = logical if eid in aps.pars else structural
-            redex = _match_element(aps, eid)
-            if redex is None:
-                table.pop(eid, None)
-            else:
+            redex = _match(aps, eid)
+            if type(redex) is Redex:
                 table[eid] = redex
+            else:
+                table.pop(eid, None)
         return len(eids)
 
     searched = max_touched = rematch([*aps.combs, *aps.crosses, *aps.pars])

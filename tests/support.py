@@ -17,7 +17,7 @@ rescan finds, the reference for the contraction worklist.
 from itertools import permutations, product
 
 from dispnet.aps import APS
-from dispnet.contraction import _match_element
+from dispnet.contraction import Redex, _match
 from dispnet.proofstructure import ProofStructure, place, realize
 
 
@@ -214,6 +214,6 @@ def iter_redexes(aps: APS):
     order, then logical ones in par-id order; and the number of
     elements matched to find them."""
     order = sorted(aps.combs.keys() | aps.crosses.keys()) + sorted(aps.pars)
-    found = [r for r in (_match_element(aps, eid) for eid in order)
-             if r is not None]
+    found = [r for r in (_match(aps, eid) for eid in order)
+             if type(r) is Redex]
     return found, len(order)

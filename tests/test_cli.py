@@ -187,6 +187,20 @@ def test_prove_with_a_repeated_word_reads_as_parse_does(tmp_path, capsys):
     assert code == 0 and "readings=1\n" in out
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "Anchors.of_terms falls back to no anchors when a word is held by "
+    "hypotheses of different formulas, and the two a:np then trade places"))
+def test_prove_repeated_word_of_two_formulas_reads_as_parse_does(tmp_path, capsys):
+    path = tmp_path / "rep.gram"
+    path.write_text("np 0\ns 0\na := a : np\na := a : s\\s\n"
+                    "t := t : (np\\s)/s\nw := w : np\\s\n")
+    code, out, _ = run(["parse", str(path), "a t a w a", "--all"], capsys)
+    assert code == 0 and "readings=2\n" in out
+    code, out, _ = run(["prove", str(path), "a:np, t:(np\\s)/s, a:np, w:np\\s, "
+                        "a:s\\s |- a+t+a+w+a:s", "--all"], capsys)
+    assert code == 0 and "readings=2\n" in out
+
+
 @pytest.mark.parametrize("mode, pruned, nets", [("parse", 45, 3), ("net", 42, 6)])
 def test_search_skips_linkings_that_escape_a_scope(mode, pruned, nets, tmp_path,
                                                    capsys):

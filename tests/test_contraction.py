@@ -307,6 +307,23 @@ def test_worklist_agrees_with_rescan(proof_corpus):
     assert structures > 4000 and stuck > 4000
 
 
+def test_every_link_left_reports_why_once(proof_corpus):
+    """At a stuck normal form, each par link and cross link left is in
+    the stuck reports exactly once, with the reason it gives, and no
+    placeholder stands in for a reason."""
+    stuck = 0
+    for aps in corpus_linkings(proof_corpus):
+        trace = contract(aps)
+        if trace.contracted:
+            continue
+        links = [r.par for r in trace.stuck if r.tag != "+"]
+        assert sorted(links) == sorted([*aps.pars, *aps.crosses])
+        for r in trace.stuck:
+            assert r.reason and r.reason not in ("no failure recorded", "blocked")
+        stuck += 1
+    assert stuck > 4000
+
+
 def test_worklist_matches_a_fraction_of_a_rescan(proof_corpus):
     searched = rescanned = 0
     for *_, aps, _trace in proof_corpus:
