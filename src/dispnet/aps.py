@@ -40,10 +40,12 @@ The role maps ``concl_of`` and ``premiss_at`` give, for a point, the
 id of the element it concludes or is a premiss of; ``eid in
 aps.combs`` tells a comb from a link.
 
-A comb has any number of premisses and one conclusion; no premiss
-equals the conclusion and no item occurs twice as a premiss. The sort
-of a comb row is the sum of its item sorts (words 0, separators 1,
-points the sort of the formula they came from, fresh tether points 0).
+A comb has any number of premisses and one conclusion, and no item
+occurs twice as a premiss. In an acyclic linking no premiss equals the
+conclusion; a cyclic linking's comb may feed itself, which contraction
+reports. The sort of a comb row is the sum of its item sorts (words 0,
+separators 1, points the sort of the formula they came from, fresh
+tether points 0).
 """
 
 from __future__ import annotations
@@ -57,12 +59,6 @@ from .terms import SEP, Mode, Separator, StringTerm
 
 class SortMismatch(ValueError):
     """A hypothesis string term whose sort differs from its formula."""
-
-
-class IllFormedComb(ValueError):
-    """A comb whose conclusion appears among its own premisses. Axiom
-    linkings that close a formula onto its own link produce these; such
-    a structure can never contract to a comb."""
 
 
 @dataclass(frozen=True)
@@ -140,10 +136,6 @@ class APS:
         self.points[pid] = sort
 
     def add_comb(self, row, concl):
-        if concl in row:
-            raise IllFormedComb(
-                f"comb conclusion v{concl} is one of its own premisses"
-            )
         cid = self.fresh_id()
         comb = Comb(cid, list(row), concl)
         self.combs[cid] = comb

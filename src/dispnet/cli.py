@@ -283,7 +283,7 @@ def _input_error(exc) -> int:
 def cmd_parse(args) -> int:
     try:
         grammar = lx.load_grammar(open(args.grammar).read())
-        goal = fm.parse_formula(args.goal) if args.goal else None
+        goal = fm.parse_formula(args.goal) if args.goal is not None else None
         if goal is not None:
             bad = fm.well_sorted(goal, grammar.signature)
             if bad:
@@ -332,7 +332,7 @@ def cmd_prove(args) -> int:
 def cmd_check(args) -> int:
     try:
         text = open(args.proof).read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return _input_error(exc)
     # the signature is the lines before the first one that opens a proof
     rows, lines = text.splitlines(), list(fm.content_lines(text))

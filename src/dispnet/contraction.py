@@ -42,8 +42,9 @@ has one of two shapes.
 One matcher, ``_match``, gives the redex an element offers, or else the
 reason it is stuck. The worklist below keeps the redexes; at a normal
 form that is not one comb, ``diagnose`` keeps the reasons: stuck
-structures are data, one report in ``ContractionTrace.stuck`` for each
-par link, cross link and self-feeding comb left.
+structures are data. Every candidate, cyclic linkings included, is
+contracted to normal form first; each report names the par link, cross
+link or self-feeding comb left that it is about.
 
 The engine is a worklist. A ready table maps each live element to the
 redex it offers, structural elements (combs, cross links) apart from
@@ -81,7 +82,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import proofstructure as pstruct
-from .aps import APS, GroupSep, IllFormedComb, is_separator, show_item, to_aps
+from .aps import APS, GroupSep, is_separator, show_item, to_aps
 from .terms import SEP, Mode, StringTerm
 
 
@@ -117,12 +118,13 @@ class ContractionStep:
 
 @dataclass
 class StuckReport:
-    par: int
+    element: int
     tag: str
     reason: str
 
     def fmt(self):
-        return f"par {self.par} [{self.tag}]: {self.reason}"
+        kind = "comb" if self.tag == "+" else "cross" if self.tag[0] == "x" else "par"
+        return f"{kind} {self.element} [{self.tag}]: {self.reason}"
 
 
 @dataclass
@@ -372,15 +374,14 @@ def apply_redex(aps: APS, redex: Redex) -> ContractionStep:
 
 def diagnose(aps: APS) -> list:
     """Why a normal form is stuck: the reason of each par link, then of
-    each cross link, then of each self-feeding comb, by id."""
+    each cross link, then of each self-feeding comb, by id. Every other
+    comb concludes the goal or a link's premiss, so a normal form that
+    is not one comb always has an element to report."""
     tagged = [(pid, _label(p.tag, p.mode)) for pid, p in sorted(aps.pars.items())]
     tagged += [(tid, _label("x", t.mode)) for tid, t in sorted(aps.crosses.items())]
     tagged += [(cid, "+") for cid in sorted(aps.combs)]
-    reports = [StuckReport(eid, tag, reason) for eid, tag in tagged
-               if type(reason := _match(aps, eid)) is str]
-    if not reports and len(aps.combs) > 1:
-        reports.append(StuckReport(-1, "+", "disconnected combs remain"))
-    return reports
+    return [StuckReport(eid, tag, reason) for eid, tag in tagged
+            if type(reason := _match(aps, eid)) is str]
 
 
 def _neighbours(aps: APS, cid: int) -> set:
@@ -463,11 +464,7 @@ def is_proof_net(ps, hyp_terms, sig, expected=None) -> NetVerdict:
     With ``expected`` set (parsing mode), the final comb row must also
     equal that string term; without it, contracting to a comb is
     enough."""
-    try:
-        aps = to_aps(ps, hyp_terms, sig)
-    except IllFormedComb as exc:
-        empty = ContractionTrace([], [StuckReport(-1, "+", str(exc))], 0)
-        return NetVerdict("stuck", ps, hyp_terms, empty)
+    aps = to_aps(ps, hyp_terms, sig)
     trace = contract(aps)
     if not trace.contracted:
         return NetVerdict("stuck", ps, hyp_terms, trace)

@@ -265,34 +265,32 @@ def _sort_or_none(f, sig: Signature):
 
 def _outer_violations(g, sig: Signature) -> list:
     """The side conditions of the outermost connective of the compound
-    formula g that g breaks, each worded to follow ``g:``. An
-    implication's result sort must reach its argument's; a ! or o needs
-    a circumfix (its first operand) with a separator; a numeric mode
-    must address an existing separator, of the circumfix for ! and o, of
-    the formula itself for ^."""
+    formula g that g breaks, each worded to follow ``g:``. A ! or o needs
+    a circumfix (its first operand) with a separator, which its numeric
+    mode must address. The conditions on g's own sort are read only when
+    both operands have one, so that a violation is reported where it
+    arises and not again for each formula around it: an implication's
+    result sort must reach its argument's, g's sort must not be
+    negative, and the numeric mode of a ^ must address a separator of g."""
     op = OPS[type(g)]
-    if op == "^":
-        sc, sb = _sort_or_none(g.result, sig), _sort_or_none(g.arg, sig)
-        if sc is not None and sb is not None and sc < sb:
-            return [f"result sort {sc} below argument sort {sb}"]
-        if g.mode.kind == "@":
-            s = _sort_or_none(g, sig)
-            if s is not None and g.mode.index > s:
-                return [f"mode {g.mode} exceeds sort {s}"]
-        return []
-    if op in MODED:
-        out = []
-        sa = _sort_or_none(getattr(g, OPERANDS[type(g)][0]), sig)
-        if sa is not None and sa < 1:
+    first, second = (_sort_or_none(f, sig) for f in operands(g))
+    out = []
+    if op in "!o" and first is not None:
+        if first < 1:
             out.append("circumfix argument has sort 0")
-        elif sa is not None and g.mode.kind == "@" and g.mode.index > sa:
-            out.append(f"mode {g.mode} exceeds circumfix sort {sa}")
-        if _sort_or_none(g, sig) is None:
-            out.append("negative sort")
+        elif g.mode.kind == "@" and g.mode.index > first:
+            out.append(f"mode {g.mode} exceeds circumfix sort {first}")
+    if first is None or second is None:
         return out
-    if "result" in OPERANDS[type(g)] and _sort_or_none(g, sig) is None:
-        return ["result sort smaller than argument sort"]
-    return []
+    s = _sort_or_none(g, sig)
+    if op == "^" and first < second:
+        out.append(f"result sort {first} below argument sort {second}")
+    elif op == "^" and g.mode.kind == "@" and g.mode.index > s:
+        out.append(f"mode {g.mode} exceeds sort {s}")
+    elif s is None:
+        out.append("negative sort" if op in MODED else
+                   "result sort smaller than argument sort")
+    return out
 
 
 def top_level_ok(f, sig: Signature) -> bool:

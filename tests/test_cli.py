@@ -95,6 +95,26 @@ def test_parse_unknown_word(grammar_file, capsys):
     assert "unknown words: zzz" in err
 
 
+@pytest.mark.parametrize("goal, message", [
+    ("", "unexpected end of formula in ''"),
+    ("np\\q", "unknown atom q"),
+], ids=["empty", "unknown-atom"])
+def test_parse_bad_goal_is_input_error(goal, message, grammar_file, capsys):
+    code, out, err = run(["parse", grammar_file, "mary", "--goal", goal], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command, rest", [
+    ("parse", ["mary"]), ("prove", ["np |- np"]), ("check", []),
+])
+def test_file_that_is_not_utf8_is_input_error(command, rest, tmp_path, capsys):
+    path = tmp_path / "binary"
+    path.write_bytes(b"\x00\xff\xfe")
+    code, out, err = run([command, str(path), *rest], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "codec can't decode" in err
+
+
 def test_parse_json_deterministic(grammar_file, capsys):
     code1, out1, _ = run(
         ["parse", grammar_file, "mary rang everyone up", "--json", "--all",

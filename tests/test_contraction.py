@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import CORPUS_SIG
-from dispnet.aps import IllFormedComb, to_aps
+from dispnet.aps import to_aps
 from dispnet.contraction import (
     apply_redex,
     contract,
@@ -89,8 +89,11 @@ def test_ring_up_losers():
     assert kinds == ["string_mismatch", "stuck", "stuck"]
     for v in losers:
         if v.kind == "stuck":
-            assert v.trace.stuck
-            assert any("not a comb conclusion" in r.reason for r in v.trace.stuck)
+            # each report names its element by the word ``to_text`` uses
+            assert [r.fmt() for r in v.trace.stuck] == [
+                "par 17 [^>]: premiss v8 is not a comb conclusion yet",
+                "cross 16 [x>]: left premiss v7 is not a comb conclusion",
+            ]
         else:
             assert str(v.comb_term) == "everyone+rang+mary+up"
 
@@ -276,10 +279,7 @@ def corpus_linkings(proof_corpus, limit=300):
             continue
         terms = {v: h.term for v, h in zip(frame.hypotheses, leaves)}
         for ps in all_linkings(frame):
-            try:
-                yield to_aps(ps, terms, CORPUS_SIG)
-            except IllFormedComb:
-                pass
+            yield to_aps(ps, terms, CORPUS_SIG)
 
 
 def test_worklist_agrees_with_rescan(proof_corpus):
@@ -308,20 +308,25 @@ def test_worklist_agrees_with_rescan(proof_corpus):
 
 
 def test_every_link_left_reports_why_once(proof_corpus):
-    """At a stuck normal form, each par link and cross link left is in
-    the stuck reports exactly once, with the reason it gives, and no
-    placeholder stands in for a reason."""
-    stuck = 0
+    """At a stuck normal form, each par link and cross link left and
+    each comb that feeds itself is in the stuck reports exactly once,
+    with the reason it gives, and no placeholder stands in for a
+    reason."""
+    stuck = cyclic = 0
     for aps in corpus_linkings(proof_corpus):
         trace = contract(aps)
         if trace.contracted:
             continue
-        links = [r.par for r in trace.stuck if r.tag != "+"]
+        links = [r.element for r in trace.stuck if r.tag != "+"]
         assert sorted(links) == sorted([*aps.pars, *aps.crosses])
+        combs = [r.element for r in trace.stuck if r.tag == "+"]
+        assert combs == [cid for cid, c in sorted(aps.combs.items())
+                         if aps.premiss_at.get(c.concl) == cid]
+        cyclic += bool(combs)
         for r in trace.stuck:
             assert r.reason and r.reason not in ("no failure recorded", "blocked")
         stuck += 1
-    assert stuck > 4000
+    assert stuck > 4000 and cyclic > 500
 
 
 def test_worklist_matches_a_fraction_of_a_rescan(proof_corpus):
@@ -502,7 +507,7 @@ PAR_GOLDEN = {
         "[x>] consumed 12,11 -> comb 16: v14 x v4 v15",
         "stuck:",
         "  par 13 [!>]: comb row shorter than the circumfix",
-        "  par 16 [+]: comb feeds itself (cyclic linking)",
+        "  comb 16 [+]: comb feeds itself (cyclic linking)",
     ]),
     "circ-prefix": ([("x", "s"), ("y", "np")], "j!>(np*(j o> s))", None, 0, "stuck", [
         "[+] consumed 8 -> comb 10: y v6",

@@ -82,6 +82,18 @@ def test_well_sorted_negative_division():
     assert well_sorted(f, SIG)
 
 
+@pytest.mark.parametrize("text, violations", [
+    ("np\\q", ["unknown atom q"]),
+    ("q o> np", ["unknown atom q"]),
+    ("np o> q", ["unknown atom q", "np o> q: circumfix argument has sort 0"]),
+    ("(j\\np)/np", ["j\\np: result sort smaller than argument sort"]),
+    ("np\\(s o> s)", ["s o> s: circumfix argument has sort 0", "s o> s: negative sort"]),
+])
+def test_a_sort_violation_is_reported_once_where_it_arises(text, violations):
+    # a formula whose operand has no sort is not blamed for its own
+    assert well_sorted(parse_formula(text), Signature({"np": 0, "s": 0, "j": 1})) == violations
+
+
 def test_parse_associativity():
     assert parse_formula("a\\b\\c") == Under(Atom("a"), Under(Atom("b"), Atom("c")))
     assert parse_formula("a/b/c") == Over(Over(Atom("a"), Atom("b")), Atom("c"))

@@ -17,7 +17,7 @@ from support import (
     linking,
     positions_clash,
 )
-from dispnet.aps import IllFormedComb, to_aps
+from dispnet.aps import to_aps
 from dispnet.contraction import is_proof_net
 from dispnet.formula import (
     Atom,
@@ -374,31 +374,32 @@ def test_anchored_stream_keeps_full_stream_indexes():
         assert linking(full[ps.index]) == linking(ps)
 
 
-def anchors_of(proof):
-    """Anchors read off a proof's conclusion term: each open hypothesis
-    word occurs once in it, and every piece of a hypothesis is a run of
+def anchors_of(sig, hyp_terms, term):
+    """Anchors read off a string ``term`` that the hypothesis terms
+    ``hyp_terms``, in hypothesis order, spell: each hypothesis word
+    occurs once in it, and every piece of a hypothesis is a run of
     consecutive words there."""
-    leaves = open_leaves_in_order(proof)
-    at = {w: i for i, w in enumerate(proof.term.words())}
+    at = {w: i for i, w in enumerate(term.words())}
     hyps = []
-    for h in leaves:
+    for hyp_term in hyp_terms:
         spans = []
-        for piece in h.term.pieces():
+        for piece in hyp_term.pieces():
             start = at[piece[0]]
             assert [at[w] for w in piece] == list(range(start, start + len(piece)))
             spans.append((start, start + len(piece)))
         hyps.append(tuple(spans))
     goal, k = [], 0
-    for piece in proof.term.pieces():
+    for piece in term.pieces():
         goal.append((k, k + len(piece)))
         k += len(piece)
-    return leaves, Anchors(CORPUS_SIG, tuple(hyps), tuple(goal))
+    return Anchors(sig, tuple(hyps), tuple(goal))
 
 
 def test_pruning_keeps_every_net_on_corpus(proof_corpus):
     checked = 0
     for proof, *_ in proof_corpus:
-        leaves, anchors = anchors_of(proof)
+        leaves = open_leaves_in_order(proof)
+        anchors = anchors_of(CORPUS_SIG, [h.term for h in leaves], proof.term)
         frame = unfold([h.formula for h in leaves], proof.formula, CORPUS_SIG)
         if linking_count(frame) > 200:
             continue
@@ -419,7 +420,8 @@ def anchored_survivors(proof_corpus):
     index, its index in the full stream and its verdict."""
     survivors = []
     for i, (proof, *_) in enumerate(proof_corpus):
-        leaves, anchors = anchors_of(proof)
+        leaves = open_leaves_in_order(proof)
+        anchors = anchors_of(CORPUS_SIG, [h.term for h in leaves], proof.term)
         frame = unfold([h.formula for h in leaves], proof.formula, CORPUS_SIG)
         terms = {v: h.term for v, h in zip(frame.hypotheses, leaves)}
         survivors.extend((i, ps.index, is_proof_net(ps, terms, CORPUS_SIG, proof.term))
@@ -469,7 +471,8 @@ def test_derived_anchors_keep_every_net_on_corpus(proof_corpus):
         leaves = open_leaves_in_order(proof)
         anchors = Anchors.of_terms(CORPUS_SIG, [(h.term, h.formula) for h in leaves],
                                    proof.formula, proof.term)
-        assert anchors == anchors_of(proof)[1], str(proof.term)
+        assert anchors == anchors_of(CORPUS_SIG, [h.term for h in leaves],
+                                     proof.term), str(proof.term)
         frame = unfold([h.formula for h in leaves], proof.formula, CORPUS_SIG)
         if linking_count(frame) > 200:
             continue
@@ -497,6 +500,33 @@ def small_d_frames():
                 yield frame
 
 
+def test_anchored_survivors_contract_on_random_frames():
+    """The random frames, with fresh hypothesis terms: anchored at the
+    comb string of each net its unanchored stream finds, a frame's
+    stream yields only linkings that contract to that string, the net
+    itself at its own index among them."""
+    fresh = FreshVars()
+    frames = ([(SIG, frame) for frame, _ in random_frames()]
+              + [(CORPUS_SIG, frame) for frame in small_d_frames()])
+    nets = 0
+    for sig, frame in frames:
+        hyp_terms = [fresh.term(sig.sort_of(frame.formulas[v])) for v in frame.hypotheses]
+        terms = dict(zip(frame.hypotheses, hyp_terms))
+        sequent = (", ".join(format_formula(frame.formulas[v]) for v in frame.hypotheses)
+                   + " |- " + format_formula(frame.formulas[frame.goal]))
+        for ps in enumerate_linkings(frame):
+            net = is_proof_net(ps, terms, sig)
+            if not net.is_net:
+                continue
+            anchors = anchors_of(sig, hyp_terms, net.comb_term)
+            kinds = {s.index: is_proof_net(s, terms, sig, net.comb_term).kind
+                     for s in enumerate_linkings(frame, anchors)}
+            assert kinds.get(ps.index) == "net", (sequent, ps.index, kinds)
+            assert set(kinds.values()) == {"net"}, (sequent, net.comb_term, kinds)
+            nets += 1
+    assert nets > 300
+
+
 def test_search_skips_exactly_the_cyclic_linkings(proof_corpus):
     """The stream is the full stream less every linking that closes a
     directed cycle (``has_cycle``) or escapes a scope (``escapes_scope``)
@@ -505,7 +535,8 @@ def test_search_skips_exactly_the_cyclic_linkings(proof_corpus):
     escape is stuck, so no net is cut."""
     cases = []  # signature, frame, hypothesis terms, expected string, anchors
     for proof, *_ in proof_corpus:
-        leaves, anchors = anchors_of(proof)
+        leaves = open_leaves_in_order(proof)
+        anchors = anchors_of(CORPUS_SIG, [h.term for h in leaves], proof.term)
         frame = unfold([h.formula for h in leaves], proof.formula, CORPUS_SIG)
         if linking_count(frame) <= 300:
             terms = {v: h.term for v, h in zip(frame.hypotheses, leaves)}
@@ -561,13 +592,6 @@ def copying_realize(frame, pairs):
     return ProofStructure(copy, 0, {consumer: consumer for consumer in remap})
 
 
-def aps_text(ps, terms):
-    try:
-        return to_aps(ps, terms, CORPUS_SIG).to_text()
-    except IllFormedComb as exc:
-        return f"ill-formed: {exc}"
-
-
 def test_structure_read_through_linking_matches_copy(proof_corpus):
     # every streamed candidate shares its frame, and reads, contracts
     # and extracts exactly as a copy of the frame with its consumers
@@ -584,7 +608,8 @@ def test_structure_read_through_linking_matches_copy(proof_corpus):
             ref = copying_realize(frame, linking(ps))
             assert ps.goal == ref.goal
             assert check_structure(ps) == check_structure(ref)
-            assert aps_text(ps, terms) == aps_text(ref, terms)
+            assert (to_aps(ps, terms, CORPUS_SIG).to_text()
+                    == to_aps(ref, terms, CORPUS_SIG).to_text())
             got, want = (is_proof_net(x, terms, CORPUS_SIG, proof.term)
                          for x in (ps, ref))
             assert (got.kind, got.comb_term, got.trace.fmt()) == (
