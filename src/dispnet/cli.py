@@ -32,6 +32,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from . import formula as fm
 from . import lexicon as lx
@@ -42,8 +43,11 @@ from .proofstructure import (
     Anchors,
     CountMismatch,
     enumerate_linkings,
+    lay_out,
     linking_count,
     sequent_mismatches,
+    tally,
+    unbalanced,
     unfold,
 )
 
@@ -71,24 +75,16 @@ class ParseResult:
 
 
 def run_sequent(hyp_pairs, goal_formula, sig, expected=None,
-                all_readings=False, cover=(), anchors=None):
+                 all_readings=False):
     """Decide one sequent; hyp_pairs are (StringTerm, Formula). With
     ``expected`` (``parse`` mode) a net is a reading only when its comb
-    spells that string; with None (``net`` mode) every net is one. With
-    ``anchors`` (see ``proofstructure.Anchors``) only linkings whose
-    string positions unify are contracted. Without them, anchors are
-    read off the hypothesis terms and ``expected`` when that reading is
-    exact (``Anchors.of_terms``): a bare ``prove`` sequent, whose fresh
-    one-word terms are the tokens of the string the comb must spell, is
-    pruned like a parsed sentence, repeated words included. An
-    unbalanced sequent is reported as a ``CountMismatch`` without being
-    unfolded.
-
-    Each net is one reading; readings are not compared. A proof is read
-    off the frame along its linking, and the frame, a forest of formula
-    trees rooted at the fixed hypothesis and goal vertices, has no
-    symmetry that fixes those roots, so two linkings extract to two
-    different proofs."""
+    spells that string; with None (``net`` mode) every net is one.
+    Anchors are read off the hypothesis terms and ``expected`` when that
+    reading is exact (``Anchors.of_terms``): a bare ``prove`` sequent,
+    whose fresh one-word terms are the tokens of the string the comb
+    must spell, is pruned like a parsed sentence, repeated words
+    included. An unbalanced sequent is reported as a ``CountMismatch``
+    without being unfolded."""
     result = ParseResult(tokens=[], goal=goal_formula)
     hypotheses = [f for _, f in hyp_pairs]
     mismatches = sequent_mismatches(hypotheses, goal_formula)
@@ -96,15 +92,32 @@ def run_sequent(hyp_pairs, goal_formula, sig, expected=None,
         result.errors.append(CountMismatch(mismatches))
         return result
     frame = unfold(hypotheses, goal_formula, sig)
-    terms = {h: t for h, (t, _) in zip(frame.hypotheses, hyp_pairs)}
-    if anchors is None and expected is not None:
-        anchors = Anchors.of_terms(sig, hyp_pairs, goal_formula, expected)
-    stream = enumerate_linkings(frame, anchors)
-    contracted = 0
-    for ps in stream:
+    anchors = (Anchors.of_terms(sig, hyp_pairs, goal_formula, expected)
+               if expected is not None else None)
+    _decide(result, frame, [t for t, _ in hyp_pairs], sig, expected,
+            all_readings, (), anchors)
+    return result
+
+
+def _decide(result, frame, hyp_terms, sig, expected, all_readings, cover,
+            anchors):
+    """Add to ``result`` what the linkings of ``frame`` give: each
+    linking the search keeps (``enumerate_linkings``, with ``anchors``
+    if any) is contracted, and each net is a reading, up to the first
+    one unless ``all_readings``. ``hyp_terms`` holds the string term of
+    each hypothesis.
+
+    Each net is one reading; readings are not compared. A proof is read
+    off the frame along its linking, and the frame, a forest of formula
+    trees rooted at the fixed hypothesis and goal vertices, has no
+    symmetry that fixes those roots, so two linkings extract to two
+    different proofs."""
+    terms = dict(zip(frame.hypotheses, hyp_terms))
+    tried = contracted = 0
+    for ps in enumerate_linkings(frame, anchors):
         verdict = is_proof_net(ps, terms, sig, expected)
         contracted += 1
-        result.linkings_tried = ps.index + 1
+        tried = ps.index + 1
         if verdict.kind != "stuck":
             result.nets_found += 1
         if not verdict.is_net:
@@ -114,32 +127,39 @@ def run_sequent(hyp_pairs, goal_formula, sig, expected=None,
         if not all_readings:
             break
     else:
-        result.linkings_tried = linking_count(frame)
-    result.pruned = result.linkings_tried - contracted
-    return result
+        tried = linking_count(frame)
+    result.linkings_tried += tried
+    result.pruned += tried - contracted
 
 
 def run_parse(grammar, tokens, goal=None, mode="parse", all_readings=False):
+    """Parse ``tokens``: decide the sequent of each lexical cover in
+    turn. A cover's frame is its entries' compiled pieces and the goal's
+    laid end to end, and its balance the sum of their tallies, so no
+    formula is walked here."""
     goal = goal if goal is not None else grammar.goal_default
-    combined = ParseResult(tokens=list(tokens), goal=goal)
+    result = ParseResult(tokens=list(tokens), goal=goal)
     expected = tm.StringTerm(tuple(tokens)) if mode == "parse" else None
     sig = grammar.signature
     # a sentence is a sort-0 string, so only a sort-0 goal can spell it
     anchored = expected is not None and sig.sort_of(goal) == 0
+    goal_piece = grammar.goal_piece(goal)
     for cover in lx.lexical_covers(grammar, tokens):
-        hyp_pairs = [(m.entry.string, m.entry.formula) for m in cover]
+        pieces = [m.frame_piece for m in cover]
+        pieces.append(goal_piece)
+        counts = tally(pieces)
+        mismatches = unbalanced(counts)
+        if mismatches:
+            result.errors.append(CountMismatch(mismatches))
+            continue
         anchors = (Anchors(sig, [m.spans for m in cover], ((0, len(tokens)),))
                    if anchored else None)
-        sub = run_sequent(hyp_pairs, goal, sig, expected, all_readings, cover,
-                          anchors)
-        combined.linkings_tried += sub.linkings_tried
-        combined.pruned += sub.pruned
-        combined.nets_found += sub.nets_found
-        combined.errors.extend(sub.errors)
-        combined.readings.extend(sub.readings)
-        if combined.readings and not all_readings:
+        _decide(result, lay_out(pieces, counts),
+                [m.entry.string for m in cover], sig, expected,
+                all_readings, cover, anchors)
+        if result.readings and not all_readings:
             break
-    return combined
+    return result
 
 
 # -- sequent text parsing -------------------------------------------------
@@ -282,7 +302,7 @@ def _input_error(exc) -> int:
 
 def cmd_parse(args) -> int:
     try:
-        grammar = lx.load_grammar(open(args.grammar).read())
+        grammar = lx.load_grammar(Path(args.grammar).read_text())
         goal = fm.parse_formula(args.goal) if args.goal is not None else None
         if goal is not None:
             bad = fm.well_sorted(goal, grammar.signature)
@@ -331,7 +351,7 @@ def cmd_prove(args) -> int:
 
 def cmd_check(args) -> int:
     try:
-        text = open(args.proof).read()
+        text = Path(args.proof).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         return _input_error(exc)
     # the signature is the lines before the first one that opens a proof
@@ -358,7 +378,7 @@ def cmd_check(args) -> int:
 
 def load_signature(path):
     """Accept either a bare signature file or a grammar file."""
-    text = open(path).read()
+    text = Path(path).read_text()
     if ":=" in text:
         return lx.load_grammar(text).signature
     return fm.Signature.parse(text)

@@ -52,9 +52,10 @@ par links; every element is matched once at the start. Redexes fire
 in a fixed order, structural redexes by element id, then par redexes
 by id: the next step fires the lowest-id structural redex, else the
 lowest-id par redex. After a step with result comb R, the consumed
-elements leave the table and only these are matched again: R; the
-combs and par links that conclude a point in R's row; the element
-whose premiss is R's conclusion.
+elements leave the table and only these are matched again: R; the par
+links that conclude a point in R's row; the combs and par links that
+conclude a point the step moved into R's row; the element whose
+premiss is R's conclusion.
 
 Why that is enough: the role maps ``concl_of`` and ``premiss_at`` give,
 for each point, the id of the element that concludes it and of the one
@@ -62,19 +63,20 @@ it is a premiss of, and element ids never collide with point ids, so
 ``eid in aps.combs`` tells whether a role is played by a comb. A match
 reads only the role maps at its own points and the rows of the combs
 they name, plus the liveness of the par links whose reserved separators
-sit in those rows. A step changes R's row and conclusion, moves the
-points of the consumed comb's row into R (their ``premiss_at`` now
-names R), and deletes consumed elements with their private points.
-So a surviving element whose reading changed either reads R through
+sit in those rows. A step changes R's row and conclusion, deletes
+consumed elements with their private points, and moves points into R:
+the row of the comb a [+] or [x] splices in, the premiss vertex a [*]
+or [o] puts in R's row. Only the moved points get a new ``premiss_at``,
+R. So a surviving element whose reading changed either reads R through
 its own premiss or tether points (then it is R's consumer, or a par
-link with tether points in R), or reads ``premiss_at`` of its own
-conclusion, which now lies in R (then it concludes a point in R's
-row), or is R itself. The par link a step fires had its tether block,
-hence every reserved separator of it still present, inside R, so the
-crosses its death unblocks read R as a premiss comb. Each rewrite
-keeps the table equal to what a full rescan would find, which the
-differential test in ``tests/test_contraction.py`` checks redex list by
-redex list.
+link with tether points in R's row), or reads ``premiss_at`` of its own
+conclusion, which changes only at a moved point (a comb or par link
+that concludes one; a cross link never reads its conclusion), or is R
+itself. The par link a step fires had its tether block, hence every
+reserved separator of it still present, inside R, so the crosses its
+death unblocks read R as a premiss comb. Each rewrite keeps the table
+equal to what a full rescan would find, which the differential test in
+``tests/test_contraction.py`` checks redex list by redex list.
 """
 
 from __future__ import annotations
@@ -384,15 +386,30 @@ def diagnose(aps: APS) -> list:
             if type(reason := _match(aps, eid)) is str]
 
 
-def _neighbours(aps: APS, cid: int) -> set:
-    """The elements whose match may change when comb ``cid`` changed:
-    the comb itself, the combs and par links concluding a point in its
-    row, and the element taking its conclusion as premiss."""
+def _moved(aps: APS, redex: Redex):
+    """The items a step on ``redex`` moves into its comb's row: the
+    spliced row of a [+] or [x], the premiss vertex of a [*] or [o]."""
+    if redex.rule in ("+", "x"):
+        return aps.combs[redex.element if redex.rule == "+" else redex.data[0]].row
+    if redex.rule in ("*", "o"):
+        return (aps.pars[redex.element].main,)
+    return ()
+
+
+def _neighbours(aps: APS, cid: int, moved) -> set:
+    """The elements whose match may change when comb ``cid`` changed and
+    the points ``moved`` came into its row: the comb itself, the par
+    links concluding a point in its row, the combs and par links
+    concluding a moved point, and the element taking its conclusion as
+    premiss."""
     comb = aps.combs[cid]
     out = {cid}
     for it in comb.row:
-        if type(it) is int:
-            role = aps.concl_of.get(it)
+        if type(it) is int and aps.concl_of.get(it) in aps.pars:
+            out.add(aps.concl_of[it])
+    for q in moved:
+        if type(q) is int:
+            role = aps.concl_of.get(q)
             if role is not None and role not in aps.crosses:
                 out.add(role)
     consumer = aps.premiss_at.get(comb.concl)
@@ -429,6 +446,7 @@ def contract(aps: APS, select=None) -> ContractionTrace:
             redex = structural[min(structural)]
         else:
             redex = logical[min(logical)]
+        moved = _moved(aps, redex)
         step = apply_redex(aps, redex)
         steps.append(step)
         if len(steps) > initial:
@@ -436,7 +454,7 @@ def contract(aps: APS, select=None) -> ContractionTrace:
         for eid in step.consumed:
             structural.pop(eid, None)
             logical.pop(eid, None)
-        touched = rematch(_neighbours(aps, step.result))
+        touched = rematch(_neighbours(aps, step.result, moved))
         searched += touched
         max_touched = max(max_touched, touched)
     stuck = [] if aps.is_single_comb() else diagnose(aps)

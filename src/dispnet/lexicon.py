@@ -12,14 +12,24 @@ each maximal word run of an entry must occupy consecutive tokens, the
 runs must appear in order, and foreign material is only allowed in the
 gaps where the entry has separators. ``lexical_covers`` enumerates all
 ways to account for every token this way.
+
+A ``Grammar`` compiles its lexicon when it is made: each entry a cover
+can use gets its formula's piece of the frame
+(``proofstructure.FramePiece``), unfolded positively with its links,
+atom occurrences and tallies, scope sets and atom position templates,
+and each match of the entry carries that piece. A goal formula's piece
+is compiled the first time it is asked for. A sentence's frame is then
+its cover's pieces and the goal's laid end to end, with no formula
+walked per sentence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import formula as fm
 from . import terms as tm
+from .proofstructure import FramePiece
 
 
 class GrammarError(ValueError):
@@ -43,20 +53,36 @@ class LexEntry:
 
 
 class Grammar:
+    """A signature and its lexical entries, indexed by first word. The
+    frame piece of each entry a cover can use is compiled when the
+    grammar is made, and each goal formula's the first time a parse
+    asks for it."""
+
     def __init__(self, signature, entries, goal_default=fm.Atom("s")):
         self.signature = signature
         self.entries = {}  # headword -> [LexEntry]
         for e in entries:
             self.entries.setdefault(e.headword, []).append(e)
         self.goal_default = goal_default
-        # first word -> [(entry, its pieces)] in grammar order, the index
-        # lexical_covers starts entries from; an entry with an empty
-        # piece has no surface anchor and is left out
+        # first word -> [(entry, its pieces, its frame piece)] in grammar
+        # order, the index lexical_covers starts entries from; an entry
+        # with an empty piece has no surface anchor and is left out
         self.by_first = {}
         for e in self.all_entries():
             pieces = e.pieces()
             if all(pieces):
-                self.by_first.setdefault(pieces[0][0], []).append((e, pieces))
+                self.by_first.setdefault(pieces[0][0], []).append(
+                    (e, pieces, FramePiece.of([(e.formula, True)], signature)))
+        self._goal_pieces = {}  # goal formula -> its frame piece
+
+    def goal_piece(self, goal) -> FramePiece:
+        """The frame piece of ``goal`` unfolded negatively, compiled
+        once per goal formula."""
+        piece = self._goal_pieces.get(goal)
+        if piece is None:
+            piece = FramePiece.of([(goal, False)], self.signature)
+            self._goal_pieces[goal] = piece
+        return piece
 
     def all_entries(self):
         return [e for group in self.entries.values() for e in group]
@@ -134,10 +160,12 @@ def print_grammar(grammar: Grammar) -> str:
 
 @dataclass(frozen=True)
 class EntryMatch:
-    """One entry instance in a cover, with the token span of each piece."""
+    """One entry instance in a cover, with the token span of each piece
+    and the entry's compiled frame piece."""
 
     entry: LexEntry
     spans: tuple  # one (start, end) per piece, in order
+    frame_piece: FramePiece = field(compare=False, repr=False)
 
     @property
     def start(self):
@@ -159,29 +187,31 @@ def lexical_covers(grammar: Grammar, tokens) -> list:
         return tokens[i:i + len(piece)] == piece
 
     def search(i, open_matches, done):
-        # open_matches: list of (entry, pieces, spans_so_far, next_piece_index)
+        # open_matches: list of (entry, pieces, frame_piece, spans_so_far,
+        # next_piece_index)
         if i == len(tokens):
             if not open_matches:
                 out.append(tuple(sorted(done, key=lambda m: m.start)))
             return
         # continue an open discontinuous entry at token i
-        for idx, (entry, pieces, spans, k) in enumerate(open_matches):
+        for idx, (entry, pieces, frame_piece, spans, k) in enumerate(open_matches):
             piece = pieces[k]
             if piece_at(piece, i):
-                new = (entry, pieces, spans + ((i, i + len(piece)),), k + 1)
+                new = (entry, pieces, frame_piece, spans + ((i, i + len(piece)),),
+                       k + 1)
                 rest = open_matches[:idx] + open_matches[idx + 1:]
                 advance(i + len(piece), rest, new, done)
         # start a new entry at token i
-        for entry, pieces in grammar.by_first.get(tokens[i], ()):
+        for entry, pieces, frame_piece in grammar.by_first.get(tokens[i], ()):
             piece = pieces[0]
             if piece_at(piece, i):
-                new = (entry, pieces, ((i, i + len(piece)),), 1)
+                new = (entry, pieces, frame_piece, ((i, i + len(piece)),), 1)
                 advance(i + len(piece), list(open_matches), new, done)
 
     def advance(i, open_matches, new, done):
-        entry, pieces, spans, k = new
+        entry, pieces, frame_piece, spans, k = new
         if k == len(pieces):
-            search(i, open_matches, done + [EntryMatch(entry, spans)])
+            search(i, open_matches, done + [EntryMatch(entry, spans, frame_piece)])
         else:
             search(i, open_matches + [new], done)
 

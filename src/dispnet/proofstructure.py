@@ -70,19 +70,43 @@ A linking exists only if every atom has as many producers as consumers
 (van Benthem's count invariant). ``sequent_mismatches`` reads those
 counts off the formulas, so an unbalanced sequent is rejected before it
 is unfolded.
+
+Everything a frame holds before the first axiom link is chosen belongs
+to one formula: no link, edge, scope or position joins two formula
+trees. So a frame is laid out from frame pieces (``lay_out``). A
+``FramePiece`` is a run of formulas unfolded on its own, with vertex
+ids local to it. It holds its links, producers and consumers, its atom
+tallies, the scope set of each of its R par links, and a position
+template for each of its atom vertices, over the 2k+2 anchor slots of
+each of its roots and the fresh points of its own links. Laying the
+pieces end to end raises each one's ids by the number of vertices
+before it; the search instantiates the templates at the anchors and
+reads the essential-net edges off the laid-out links. Unfolding
+numbers each formula's subtree contiguously, so a frame does not
+depend on how its formulas are split into pieces: a grammar compiles
+one piece per entry when it is made (``lexicon.Grammar``), and
+``unfold`` builds one piece of a whole sequent.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from operator import itemgetter
 
 from . import formula as fm
 from .terms import Mode
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Link:
+    """A link of a frame. Frames share links (a piece's links serve every
+    frame that lays the piece out first), so a link is never changed
+    once made; it is not frozen only because frozen links take several
+    times as long to make, and laying out a frame makes most of its
+    links."""
+
     kind: str  # "tensor" | "par"
     tag: str   # e.g. "L/", "R*", "L^"
     premisses: tuple
@@ -92,6 +116,16 @@ class Link:
 
     def vertices(self):
         return self.premisses + self.conclusions
+
+    def shifted(self, d):
+        """The link with each vertex id raised by ``d``. A tensor link
+        has two premisses and one conclusion, a par link the reverse."""
+        if self.main is None:
+            (a, b), (c,) = self.premisses, self.conclusions
+            return Link(self.kind, self.tag, (a + d, b + d), (c + d,), self.mode)
+        (a,), (b, c) = self.premisses, self.conclusions
+        return Link(self.kind, self.tag, (a + d,), (b + d, c + d), self.mode,
+                    self.main + d)
 
     def fmt(self):
         mode = str(self.mode) if self.mode is not None else ""
@@ -174,7 +208,10 @@ class CountMismatch(ValueError):
 @dataclass
 class ProofFrame:
     """The links of a sequent over its vertices 0 to n-1, numbered in
-    the order they were made; a vertex id indexes ``formulas``."""
+    the order they were made; a vertex id indexes ``formulas``. A frame
+    laid out from pieces (``lay_out``) also keeps each piece with the
+    offset its ids were raised by, and the sum of their tallies; the
+    linking search reads both."""
 
     formulas: list  # vertex id -> formula
     links: list
@@ -182,6 +219,8 @@ class ProofFrame:
     goal: int
     producers: dict = field(default_factory=dict)  # atom -> [vid]
     consumers: dict = field(default_factory=dict)
+    pieces: list = field(default_factory=list)  # (piece, offset)
+    tally: dict = field(default_factory=dict)  # atom -> (producers, consumers)
 
     def dump(self) -> str:
         return "\n".join(link.fmt() for link in self.links)
@@ -209,56 +248,14 @@ class ProofStructure:
         return self.find(self.frame.goal)
 
 
-def unfold(hypotheses, goal, sig) -> ProofFrame:
-    """Build the proof frame of a sequent by leftmost-outermost
-    decomposition. All formulas are assumed well-sorted under sig."""
-    formulas = []
-    links = []
-    producers = {}
-    consumers = {}
-
-    def new_vertex(f):
-        formulas.append(f)
-        return len(formulas) - 1
-
-    def expand(vid, positive):
-        f = formulas[vid]
-        if type(f) is fm.Atom:
-            side = producers if positive else consumers
-            side.setdefault(f.name, []).append(vid)
-            return
-        tag, (xf, xpos), (yf, ypos), swapped, moded = _UNFOLDING[type(f), positive]
-        x = new_vertex(getattr(f, xf))
-        y = new_vertex(getattr(f, yf))
-        mode = f.mode if moded else None
-        links.append(make_link(tag, vid, y, x, mode) if swapped
-                     else make_link(tag, vid, x, y, mode))
-        expand(x, xpos)
-        expand(y, ypos)
-
-    hyp_ids = []
-    for h in hypotheses:
-        vid = new_vertex(h)
-        hyp_ids.append(vid)
-        expand(vid, True)
-    goal_id = new_vertex(goal)
-    expand(goal_id, False)
-
-    return ProofFrame(formulas, links, hyp_ids, goal_id, producers, consumers)
-
-
-def count_mismatches(frame: ProofFrame) -> dict:
-    out = {}
-    for atom in sorted(set(frame.producers) | set(frame.consumers)):
-        p = len(frame.producers.get(atom, ()))
-        c = len(frame.consumers.get(atom, ()))
-        if p != c:
-            out[atom] = (p, c)
-    return out
-
-
 # the connectives with two parts, both keeping the polarity: no argument
 _PARTS = tuple(cls for cls, names in fm.OPERANDS.items() if "arg" not in names)
+
+
+def unbalanced(counts) -> dict:
+    """The atoms of ``counts`` (atom -> (producers, consumers)) whose
+    producers and consumers differ, in name order, with their counts."""
+    return {a: (p, c) for a, (p, c) in sorted(counts.items()) if p != c}
 
 
 def sequent_mismatches(hypotheses, goal) -> dict:
@@ -282,15 +279,152 @@ def sequent_mismatches(hypotheses, goal) -> dict:
                 stack.append((f.arg, 1 - side))
                 f = f.result
         counts.setdefault(f.name, [0, 0])[side] += 1
-    return {a: (p, c) for a, (p, c) in sorted(counts.items()) if p != c}
+    return unbalanced(counts)
+
+
+@dataclass(slots=True)
+class FramePiece:
+    """Formulas unfolded side by side, each positive as a hypothesis or
+    negative as a goal, with vertex ids local to the piece: each
+    formula's subtree is numbered contiguously after the ones before,
+    from 0. Before an axiom link is chosen, every link, edge, scope set
+    and position of a frame lies inside one formula's subtree, so a
+    piece is built once and laid out in any frame at an id offset
+    (``lay_out``). Frames and grammars share pieces, so nothing changes
+    a piece once it is built."""
+
+    formulas: list
+    links: list
+    roots: list      # the vertex of each formula, in order
+    producers: list  # (atom, vid) per producer, in the order unfold finds them
+    consumers: list
+    tally: dict      # atom -> [producers, consumers]
+    scopes: list     # per R par link: (what its hypothesis reaches around its body, body)
+    atoms: list      # per atom vertex: (vid, its points as a getter on the piece's points)
+    fresh: tuple     # per fresh point of the piece's links: whether it is a constant
+
+    @classmethod
+    def of(cls, signed, sig) -> FramePiece:
+        """Unfold each formula of ``signed``, (formula, positive) pairs,
+        in turn by leftmost-outermost decomposition: each link's two new
+        vertices are made before either is unfolded. The formulas are
+        assumed well-sorted under sig."""
+        formulas = []
+        links = []
+        roots = []
+        producers, consumers = [], []
+        tally = {}
+
+        def new_vertex(f):
+            formulas.append(f)
+            return len(formulas) - 1
+
+        def expand(vid, positive):
+            f = formulas[vid]
+            if type(f) is fm.Atom:
+                (producers if positive else consumers).append((f.name, vid))
+                tally.setdefault(f.name, [0, 0])[0 if positive else 1] += 1
+                return
+            tag, (xf, xpos), (yf, ypos), swapped, moded = _UNFOLDING[type(f), positive]
+            x = new_vertex(getattr(f, xf))
+            y = new_vertex(getattr(f, yf))
+            mode = f.mode if moded else None
+            links.append(make_link(tag, vid, y, x, mode) if swapped
+                         else make_link(tag, vid, x, y, mode))
+            expand(x, xpos)
+            expand(y, ypos)
+
+        for formula, positive in signed:
+            roots.append(new_vertex(formula))
+            expand(roots[-1], positive)
+        succ, bodies = _essential_edges(links)
+        scopes = []
+        for hypothesis, body in bodies:
+            seen = set()
+            _reach(succ, seen, body, hypothesis, None, [])
+            scopes.append((seen, body))
+        pos, fresh = _template(formulas, roots, links, sig)
+        atoms = [(v, itemgetter(*pos[v])) for _, v in producers + consumers]
+        return cls(formulas, links, roots, producers, consumers, tally, scopes,
+                   atoms, fresh)
+
+
+def _template(formulas, roots, links, sig):
+    """The positions of every vertex of a piece over its own points:
+    each root holds 2k+2 anchor slots, the roots' slots coming first in
+    root order, and each link passes positions to its subformulas by
+    ``_split``, the junctions it leaves open being new points after all
+    slots. Returns them with, per new point, whether it is a constant:
+    an eigen constant of a par link, else a meta variable of a tensor
+    link."""
+    pos = {}
+    slots = 0
+    for r in roots:
+        k = 2 * sig.sort_of(formulas[r]) + 2
+        pos[r] = tuple(range(slots, slots + k))
+        slots += k
+    fresh = []
+    for link in links:
+        eigen = link.kind == "par"
+
+        def new_points(n):
+            start = slots + len(fresh)
+            fresh.extend([eigen] * n)
+            return tuple(range(start, start + n))
+
+        vids = link.vertices()
+        top, x, y = (vids[i] for i in _SHAPE[link.tag])
+        pos[x], pos[y] = _split(pos[top], formulas[top], sig, new_points)
+    return pos, tuple(fresh)
+
+
+def tally(pieces) -> dict:
+    """Per atom, its (producers, consumers) over ``pieces``: the sum of
+    their tallies."""
+    out = {}
+    for piece in pieces:
+        for atom, (p, c) in piece.tally.items():
+            q, d = out.get(atom, (0, 0))
+            out[atom] = (p + q, c + d)
+    return out
+
+
+def lay_out(pieces, counts) -> ProofFrame:
+    """The frame of the pieces' formulas, in order, the last the goal
+    and the others hypotheses: the pieces end to end, each one's ids
+    raised by the number of vertices before it. ``counts`` is their
+    ``tally``. No piece is changed."""
+    formulas, links, roots, placed = [], [], [], []
+    producers, consumers = {}, {}
+    for piece in pieces:
+        d = len(formulas)
+        placed.append((piece, d))
+        formulas += piece.formulas
+        roots += [r + d for r in piece.roots]
+        links += [link.shifted(d) for link in piece.links] if d else piece.links
+        for atom, v in piece.producers:
+            producers.setdefault(atom, []).append(v + d)
+        for atom, v in piece.consumers:
+            consumers.setdefault(atom, []).append(v + d)
+    return ProofFrame(formulas, links, roots[:-1], roots[-1], producers,
+                      consumers, placed, counts)
+
+
+def unfold(hypotheses, goal, sig) -> ProofFrame:
+    """Build the proof frame of a sequent: one piece of all its
+    formulas, built here and laid out. All formulas are assumed
+    well-sorted under sig."""
+    pieces = [FramePiece.of([(h, True) for h in hypotheses] + [(goal, False)], sig)]
+    return lay_out(pieces, tally(pieces))
+
+
+def count_mismatches(frame: ProofFrame) -> dict:
+    return unbalanced(frame.tally)
 
 
 def linking_count(frame: ProofFrame) -> int:
-    if count_mismatches(frame):
-        return 0
-    return math.prod(
-        math.factorial(len(v)) for v in frame.producers.values()
-    )
+    return math.prod(math.factorial(p) if p == c else 0
+                     for p, c in frame.tally.values())
 
 
 @dataclass(frozen=True)
@@ -382,50 +516,63 @@ def _split(f, formula, sig, fresh):
     return f[:2 * i - 1] + (p, q) + f[k:], (p,) + f[2 * i - 1:k] + (q,)
 
 
-def place(frame: ProofFrame, anchors: Anchors):
-    """The position pass: string positions for every vertex of a frame.
+def _positions(frame: ProofFrame, anchors: Anchors):
+    """The string positions of a frame's atom vertices: each piece's
+    templates instantiated at its roots' anchors.
 
     Returns ``(pos, const)``: ``pos[vid]`` is a tuple of 2k+2 point ids
-    for a vertex of sort k (start and end of each of its k+1 pieces),
-    and ``const[point]`` says whether that point is a constant. Token
-    positions are constants, shared by every anchor that names them.
-    Each link positions its subformulas from its compound formula by
-    the connective's concatenation or wrap geometry; the junctions that
-    geometry leaves open are fresh eigen constants at par links and
-    fresh meta variables at tensor links."""
+    for an atom vertex of sort k (start and end of each of its k+1
+    pieces), and ``const[point]`` says whether that point is a
+    constant. Token positions are constants, shared by every anchor
+    that names them. The templates follow the links from each root by
+    the connective's concatenation or wrap geometry (``_split``); the
+    junctions it leaves open are fresh eigen constants at par links and
+    fresh meta variables at tensor links, new points in every frame."""
     const = []
     tokens = {}
-
-    def token(t):
-        if t not in tokens:
-            tokens[t] = len(const)
-            const.append(True)
-        return tokens[t]
-
-    def anchored(spans):
-        return tuple(token(t) for span in spans for t in span)
-
-    pos = {vid: anchored(spans)
-           for vid, spans in zip(frame.hypotheses, anchors.hypotheses)}
-    pos[frame.goal] = anchored(anchors.goal)
-    for link in frame.links:
-        eigen = link.kind == "par"
-
-        def fresh(n):
-            start = len(const)
-            const.extend([eigen] * n)
-            return tuple(range(start, start + n))
-
-        vids = link.vertices()
-        top, x, y = (vids[i] for i in _SHAPE[link.tag])
-        pos[x], pos[y] = _split(pos[top], frame.formulas[top], anchors.sig,
-                                fresh)
+    pos = {}
+    anchored = iter([*anchors.hypotheses, anchors.goal])
+    for piece, d in frame.pieces:
+        points = []
+        for _ in piece.roots:
+            for span in next(anchored):
+                for t in span:
+                    if t not in tokens:
+                        tokens[t] = len(const)
+                        const.append(True)
+                    points.append(tokens[t])
+        points += range(len(const), len(const) + len(piece.fresh))
+        const += piece.fresh
+        for v, get in piece.atoms:
+            pos[v + d] = get(points)
     return pos, const
+
+
+def _reach(succ, seen, avoid, v, target, note):
+    """Add to ``seen`` every vertex that ``v`` reaches along ``succ``,
+    passing neither ``avoid`` nor a vertex already in ``seen``, each
+    noted in ``note``; True as soon as ``target`` is reached."""
+    stack = []
+    if v != avoid and v not in seen:
+        seen.add(v)
+        note.append((seen, v))
+        stack.append(v)
+    while stack:
+        v = stack.pop()
+        if v == target:
+            return True
+        for w in succ.get(v, ()):
+            if w != avoid and w not in seen:
+                seen.add(w)
+                note.append((seen, w))
+                stack.append(w)
+    return False
 
 
 def enumerate_linkings(frame: ProofFrame, anchors: Anchors | None = None):
     """Stream of the proof structures obtained by identifying producer
-    atoms with consumer atoms of the same name.
+    atoms with consumer atoms of the same name, for a frame laid out
+    from pieces.
 
     The stream is lazy and deterministic: a backtracking search goes
     through atoms in name order and consumers in vertex-id order, and
@@ -434,31 +581,37 @@ def enumerate_linkings(frame: ProofFrame, anchors: Anchors | None = None):
     Each structure's ``index`` is its place in that order.
 
     Each link of a producer to a consumer must pass one admission test.
-    With ``anchors``, it unifies their string positions (see ``place``)
-    and is refused where two distinct constants meet: no linking below
-    it can spell the anchored sentence. With or without anchors, it is
-    refused when the consumer already reaches the producer along the
-    frame's essential-net edges and the axiom links chosen so far (see
-    the module docstring), as it would close a directed cycle, or when
-    it lets the withdrawn hypothesis of an R par link reach the goal
-    around the link's body. Links only add paths, so a cycle or an
-    escape found at a choice holds for every linking below it, and a
-    refusal skips them all. Their places in the order are not reused,
-    so indexes stay those of the full stream.
+    With ``anchors``, it unifies their string positions (see
+    ``_positions``) and is refused where two distinct constants meet: no
+    linking below it can spell the anchored sentence. With or without
+    anchors, it is refused when the consumer already reaches the
+    producer along the frame's essential-net edges and the axiom links
+    chosen so far (see the module docstring), as it would close a
+    directed cycle, or when it lets the withdrawn hypothesis of an R par
+    link reach the goal around the link's body. Links only add paths, so
+    a cycle or an escape found at a choice holds for every linking below
+    it, and a refusal skips them all. Their places in the order are not
+    reused, so indexes stay those of the full stream.
 
-    One walker, ``reach``, serves both graph tests. Each R par link
+    One walker, ``_reach``, serves both graph tests. Each R par link
     keeps the set of vertices its hypothesis reaches around its body,
-    built before the first choice; a link grows only the sets that hold
-    its producer. One trail records the unified points and the vertices
-    added to those sets, and a slot pops it back to its length there.
+    which before the first choice is its piece's scope set laid out; a
+    link grows only the sets that hold its producer. One trail records
+    the unified points and the vertices added to those sets, and a slot
+    pops it back to its length there.
 
     Raises CountMismatch immediately when some atom is unbalanced (the
     stream would be empty)."""
     mismatches = count_mismatches(frame)
     if mismatches:
         raise CountMismatch(mismatches)
-    pos, const = place(frame, anchors) if anchors is not None else (None, ())
-    succ, bodies = _essential_edges(frame)
+    pos, const = _positions(frame, anchors) if anchors is not None else (None, ())
+    # the essential-net edges, read off the laid-out links (which share
+    # their tuples), and the pieces' scope sets laid out, for this
+    # stream to grow
+    succ, _ = _essential_edges(frame.links)
+    scopes = [({v + d for v in seen}, body + d)
+              for piece, d in frame.pieces for seen, body in piece.scopes]
     # per consumer slot, in search order: its vertex, its atom's sorted
     # producers, their shared used flags, and how many linkings of the
     # full stream lie below one choice at that slot
@@ -477,6 +630,7 @@ def enumerate_linkings(frame: ProofFrame, anchors: Anchors | None = None):
     def stream():
         parent = list(range(len(const)))
         trail = []      # a unified point, or a (reach set, vertex) pair
+        reach = partial(_reach, succ)
 
         def unify(xs, ys):
             for a, b in zip(xs, ys):
@@ -494,27 +648,6 @@ def enumerate_linkings(frame: ProofFrame, anchors: Anchors | None = None):
                 trail.append(a)
             return True
 
-        def reach(seen, avoid, v, target, note):
-            """Add to ``seen`` every vertex that ``v`` reaches along
-            ``succ``, passing neither ``avoid`` nor a vertex already in
-            ``seen``, each noted in ``note``; True as soon as ``target``
-            is reached."""
-            stack = []
-            if v != avoid and v not in seen:
-                seen.add(v)
-                note.append((seen, v))
-                stack.append(v)
-            while stack:
-                v = stack.pop()
-                if v == target:
-                    return True
-                for w in succ.get(v, ()):
-                    if w != avoid and w not in seen:
-                        seen.add(w)
-                        note.append((seen, w))
-                        stack.append(w)
-            return False
-
         def admits(producer, consumer):
             """Whether the link passes the positions, cycle and scopes."""
             if pos is not None and not unify(pos[producer], pos[consumer]):
@@ -526,10 +659,6 @@ def enumerate_linkings(frame: ProofFrame, anchors: Anchors | None = None):
                     return False
             return True
 
-        # per R par link: what its hypothesis reaches around its body, and the body
-        scopes = [(set(), body) for _, body in bodies]
-        for (seen, body), (hypothesis, _) in zip(scopes, bodies):
-            reach(seen, body, hypothesis, frame.goal, [])
         n = len(consumers)
         pick = [-1] * n
         mark = [0] * n  # per slot: len(trail) before its pick
@@ -572,14 +701,15 @@ def enumerate_linkings(frame: ProofFrame, anchors: Anchors | None = None):
     return stream()
 
 
-def _essential_edges(frame: ProofFrame):
-    """The frame oriented as an essential net (see the module docstring),
-    as each vertex's successors, and each R par link's withdrawn
-    hypothesis and body. A vertex is the premiss of at most one link; a
-    producer is of none, so the search adds its axiom link here."""
+def _essential_edges(links):
+    """The links oriented as an essential net (see the module
+    docstring), as each vertex's successors, and each R par link's
+    withdrawn hypothesis and body. A vertex is the premiss of at most
+    one link; a producer is of none, so the search adds its axiom link
+    there."""
     succ = {}
     bodies = []
-    for link in frame.links:
+    for link in links:
         if link.kind == "par" and link.tag[0] == "R":
             targets = (link.main,)
             first, second = link.conclusions

@@ -8,17 +8,20 @@ reaches the goal around its body there. The search in
 ``proofstructure.enumerate_linkings`` skips exactly the linkings that
 have a cycle, escape a scope or, with anchors, whose positions clash
 (``positions_clash``), so these are the references it is checked
-against. ``validate`` checks the role maps of an abstract proof
-structure against its elements, ``check_structure`` the link discipline
-of a proof structure, and ``iter_redexes`` lists the redexes a full
-rescan finds, the reference for the contraction worklist.
+against. ``place``, the position pass behind ``positions_clash``,
+walks the laid-out frame's links from its hypotheses and goal instead
+of instantiating its pieces' position templates. ``validate`` checks
+the role maps of an abstract proof structure against its elements,
+``check_structure`` the link discipline of a proof structure, and
+``iter_redexes`` lists the redexes a full rescan finds, the reference
+for the contraction worklist.
 """
 
 from itertools import permutations, product
 
 from dispnet.aps import APS
 from dispnet.contraction import Redex, _match
-from dispnet.proofstructure import ProofStructure, place, realize
+from dispnet.proofstructure import _SHAPE, ProofStructure, _split, realize
 
 
 def itertools_order(frame):
@@ -115,6 +118,47 @@ def escapes_scope(frame, linking):
         if frame.goal in seen:
             return True
     return False
+
+
+def place(frame, anchors):
+    """The position pass: string positions for every vertex of a frame.
+
+    Returns ``(pos, const)``: ``pos[vid]`` is a tuple of 2k+2 point ids
+    for a vertex of sort k (start and end of each of its k+1 pieces),
+    and ``const[point]`` says whether that point is a constant. Token
+    positions are constants, shared by every anchor that names them.
+    Each link positions its subformulas from its compound formula by
+    the connective's concatenation or wrap geometry; the junctions that
+    geometry leaves open are fresh eigen constants at par links and
+    fresh meta variables at tensor links."""
+    const = []
+    tokens = {}
+
+    def token(t):
+        if t not in tokens:
+            tokens[t] = len(const)
+            const.append(True)
+        return tokens[t]
+
+    def anchored(spans):
+        return tuple(token(t) for span in spans for t in span)
+
+    pos = {vid: anchored(spans)
+           for vid, spans in zip(frame.hypotheses, anchors.hypotheses)}
+    pos[frame.goal] = anchored(anchors.goal)
+    for link in frame.links:
+        eigen = link.kind == "par"
+
+        def fresh(n):
+            start = len(const)
+            const.extend([eigen] * n)
+            return tuple(range(start, start + n))
+
+        vids = link.vertices()
+        top, x, y = (vids[i] for i in _SHAPE[link.tag])
+        pos[x], pos[y] = _split(pos[top], frame.formulas[top], anchors.sig,
+                                fresh)
+    return pos, const
 
 
 def positions_clash(frame, anchors, linking):

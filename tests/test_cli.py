@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -540,6 +541,19 @@ def test_check_roundtrip(tmp_path, grammar_file, capsys, sig_file):
     code, out, _ = run(["check", str(path)], capsys)
     assert code == 0
     assert "ok: mary+rang+everyone+up : s" in out
+
+
+def test_commands_close_the_files_they_read(tmp_path, grammar_file, capsys):
+    # a file left to the collector warns when it is reclaimed
+    proof = tmp_path / "proof.nd"
+    proof.write_text('np 0\n(hyp 0 "a" "np")\n')
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["parse", grammar_file, "mary rang everyone up"], capsys)[0] == 0
+        assert run(["prove", grammar_file, "np, np\\s |- s"], capsys)[0] == 0
+        assert run(["check", str(proof)], capsys)[0] == 0
+    assert [str(w.message) for w in caught
+            if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_check_rejects_a_label_used_twice(tmp_path, capsys):

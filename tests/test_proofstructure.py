@@ -15,6 +15,7 @@ from support import (
     has_cycle,
     itertools_order,
     linking,
+    place,
     positions_clash,
 )
 from dispnet.aps import to_aps
@@ -26,6 +27,7 @@ from dispnet.formula import (
     parse_formula,
     random_formula,
 )
+from dispnet.lexicon import lexical_covers, load_grammar
 from dispnet.nd import extract_nd, nd_to_sexpr, open_leaves_in_order
 from dispnet.proofstructure import (
     Anchors,
@@ -34,9 +36,11 @@ from dispnet.proofstructure import (
     ProofStructure,
     count_mismatches,
     enumerate_linkings,
+    lay_out,
     linking_count,
-    place,
     sequent_mismatches,
+    tally,
+    unbalanced,
     unfold,
 )
 from dispnet.terms import FreshVars, parse_term
@@ -372,6 +376,100 @@ def test_anchored_stream_keeps_full_stream_indexes():
     assert len(kept) == 1
     for ps in kept:
         assert linking(full[ps.index]) == linking(ps)
+
+
+D_SIG = Signature({"np": 0, "s": 0, "j": 1})
+
+
+def random_lexicon(rng):
+    """A grammar of seeded random formulas over np, s and j, the first
+    held by a second entry too, then a quantifier, a verb that takes a
+    clause and ``np``, whose scopes and clauses make linkings escape;
+    entry i's pieces are the words ``w<i>p<j>``."""
+    formulas = [random_formula(rng, D_SIG, 2) for _ in range(5)]
+    formulas += [formulas[0]] + [parse_formula(f) for f in (
+        "(s^>np)!>s", "(np\\s)/s", "np\\s", "np")]
+    lines = ["np 0", "s 0", "j 1"]
+    for i, f in enumerate(formulas):
+        term = "+1+".join(f"w{i}p{j}" for j in range(D_SIG.sort_of(f) + 1))
+        lines.append(f"e{i} := {term} : {format_formula(f)}")
+    return load_grammar("\n".join(lines)), formulas
+
+
+def random_sentence(rng, formulas, first):
+    """The phrases headed by the entries ``first``, then up to two more:
+    a phrase is an entry's pieces with a phrase in each gap between
+    them, of sort-0 entries only two gaps down."""
+    sort0 = [i for i, f in enumerate(formulas) if D_SIG.sort_of(f) == 0]
+
+    def phrase(i, depth):
+        out = []
+        for j in range(D_SIG.sort_of(formulas[i]) + 1):
+            if j:
+                inner = rng.randrange(len(formulas)) if depth < 2 else rng.choice(sort0)
+                out += phrase(inner, depth + 1)
+            out.append(f"w{i}p{j}")
+        return out
+
+    heads = first + [rng.randrange(len(formulas)) for _ in range(rng.randint(0, 2))]
+    return [t for i in heads for t in phrase(i, 0)]
+
+
+def test_compiled_frames_match_unfold_and_the_reference_stream():
+    """A cover's frame laid out from its entries' compiled pieces is the
+    frame ``unfold`` builds from its formulas as one piece, and its
+    stream yields exactly the linkings of the full stream with no cycle
+    and no escaped scope, each at its index there; anchored, it also
+    drops those with a position clash (``place`` positions the whole
+    frame). Sentences repeat an entry and use two entries of one
+    formula; laying a piece out, once or twice in a frame, never
+    changes it."""
+    rng = random.Random(20)
+    frames = repeated = shared = streams = escaped = 0
+    for trial in range(1000):
+        grammar, formulas = random_lexicon(rng)
+        # entry 5 holds entry 0's formula; entry 9 is np
+        first = ([0, 5], [9, 9], [rng.randrange(10)])[trial % 3]
+        tokens = random_sentence(rng, formulas, first)
+        for cover in lexical_covers(grammar, tokens)[:4]:
+            own = [m.frame_piece for m in cover]
+            before = [(p.producers, p.consumers) for p in own]
+            # the first goal that balances the cover, if one does
+            goals = [f for f in [Atom("s"), Atom("np")] + formulas
+                     if D_SIG.sort_of(f) == 0]
+            goal = next((g for g in goals
+                         if not unbalanced(tally(own + [grammar.goal_piece(g)]))),
+                        goals[0])
+            pieces = own + [grammar.goal_piece(goal)]
+            frame = lay_out(pieces, tally(pieces))
+            want = unfold([m.entry.formula for m in cover], goal, D_SIG)
+            assert frame.formulas == want.formulas
+            assert frame.dump() == want.dump()
+            assert (frame.hypotheses, frame.goal) == (want.hypotheses, want.goal)
+            assert (frame.producers, frame.consumers) == (want.producers, want.consumers)
+            assert frame.tally == {a: (len(frame.producers.get(a, ())),
+                                       len(frame.consumers.get(a, ())))
+                                   for a in frame.producers.keys() | frame.consumers.keys()}
+            assert lay_out(pieces, tally(pieces)) == frame
+            assert [(p.producers, p.consumers) for p in own] == before
+            frames += 1
+            entries = [m.entry for m in cover]
+            repeated += len(set(map(id, entries))) < len(entries)
+            shared += {"e0", "e5"} <= {e.headword for e in entries}
+            if count_mismatches(frame) or linking_count(frame) > 300:
+                continue
+            anchors = Anchors(D_SIG, [m.spans for m in cover], ((0, len(tokens)),))
+            full = [(ps.index, linking(ps)) for ps in all_linkings(frame)]
+            acyclic = [(i, l) for i, l in full if not has_cycle(frame, l)]
+            kept = [(i, l) for i, l in acyclic if not escapes_scope(frame, l)]
+            assert [(ps.index, linking(ps)) for ps in enumerate_linkings(frame)] == kept
+            assert [(ps.index, linking(ps)) for ps in enumerate_linkings(frame, anchors)] == [
+                (i, l) for i, l in kept if not positions_clash(frame, anchors, l)]
+            assert linking_count(frame) == len(full)
+            streams += 1
+            escaped += len(acyclic) - len(kept)
+    assert frames > 1000 and repeated > 100 and shared > 100 and streams > 150
+    assert escaped > 0
 
 
 def anchors_of(sig, hyp_terms, term):
