@@ -5,7 +5,8 @@
     dispnet check PROOF_FILE
 
 Exit codes: 0 when at least one reading/derivation is found (or the
-proof checks), 1 when none is, 2 on input errors, 141 (128 + SIGPIPE)
+proof checks), 1 when none is, 2 on input errors (a proof too deep to
+build or print among them, with nothing on stdout), 141 (128 + SIGPIPE)
 when the reader closes standard output before the report is written,
 as in ``dispnet parse ... --json | head``; that case prints nothing
 to standard error. Output is
@@ -152,7 +153,7 @@ def run_parse(grammar, tokens, goal=None, mode="parse", all_readings=False):
         if mismatches:
             result.errors.append(CountMismatch(mismatches))
             continue
-        anchors = (Anchors(sig, [m.spans for m in cover], ((0, len(tokens)),))
+        anchors = (Anchors([m.spans for m in cover], ((0, len(tokens)),))
                    if anchored else None)
         _decide(result, lay_out(pieces, counts),
                 [m.entry.string for m in cover], sig, expected,
@@ -263,8 +264,9 @@ def _result_json(result, mode, latex, trace):
     }
 
 
-def _print_result(result, latex, trace):
-    w = sys.stdout.write
+def _result_text(result, latex, trace):
+    out = []
+    w = out.append
     if result.tokens:
         w(f"sentence: {' '.join(result.tokens)}\n")
     w(f"goal: {fm.format_formula(result.goal)}\n")
@@ -287,6 +289,7 @@ def _print_result(result, latex, trace):
         f"stats: linkings={result.linkings_tried} nets={result.nets_found} "
         f"readings={len(result.readings)}\n"
     )
+    return "".join(out)
 
 
 # -- subcommands -----------------------------------------------------------
@@ -318,8 +321,12 @@ def cmd_parse(args) -> int:
     if unknown:
         print(f"error: unknown words: {' '.join(unknown)}", file=sys.stderr)
         return 2
-    result = run_parse(grammar, tokens, goal, args.mode, args.all)
-    emit(result, args)
+    try:
+        result = run_parse(grammar, tokens, goal, args.mode, args.all)
+        report = render(result, args)
+    except RecursionError as exc:
+        return _input_error(exc)
+    sys.stdout.write(report)
     return 0 if result.readings else 1
 
 
@@ -343,9 +350,13 @@ def cmd_prove(args) -> int:
         goal_term = tm.EMPTY
         for t, _ in hyp_pairs:
             goal_term = tm.concat(goal_term, t)
-    result = run_sequent(hyp_pairs, goal, sig,
-                         goal_term if args.mode == "parse" else None, args.all)
-    emit(result, args)
+    try:
+        result = run_sequent(hyp_pairs, goal, sig,
+                             goal_term if args.mode == "parse" else None, args.all)
+        report = render(result, args)
+    except RecursionError as exc:
+        return _input_error(exc)
+    sys.stdout.write(report)
     return 0 if result.readings else 1
 
 
@@ -384,12 +395,13 @@ def load_signature(path):
     return fm.Signature.parse(text)
 
 
-def emit(result, args):
+def render(result, args) -> str:
+    """The whole report of ``parse`` or ``prove``, made before any of it
+    is written, so that a proof too deep to render leaves stdout empty."""
     if args.json:
-        print(json.dumps(_result_json(result, args.mode, args.latex,
-                                      args.trace), sort_keys=True, indent=2))
-    else:
-        _print_result(result, args.latex, args.trace)
+        return json.dumps(_result_json(result, args.mode, args.latex,
+                                       args.trace), sort_keys=True, indent=2) + "\n"
+    return _result_text(result, args.latex, args.trace)
 
 
 def main(argv=None) -> int:

@@ -75,13 +75,15 @@ Everything a frame holds before the first axiom link is chosen belongs
 to one formula: no link, edge, scope or position joins two formula
 trees. So a frame is laid out from frame pieces (``lay_out``). A
 ``FramePiece`` is a run of formulas unfolded on its own, with vertex
-ids local to it. It holds its links, producers and consumers, its atom
-tallies, the scope set of each of its R par links, and a position
-template for each of its atom vertices, over the 2k+2 anchor slots of
-each of its roots and the fresh points of its own links. Laying the
-pieces end to end raises each one's ids by the number of vertices
-before it; the search instantiates the templates at the anchors and
-reads the essential-net edges off the laid-out links. Unfolding
+ids local to it. One walk unfolds it and, as the first-order reading
+does, hands positions down each link as it makes the link. A piece
+holds its links, its atom tallies, the scope set of each of its R par
+links, and one list of its atom occurrences, each with its polarity
+and a position template over the 2k+2 anchor slots of each root and
+the fresh points of the piece's own links. Laying the pieces end to
+end raises each one's ids by the number of vertices before it; the
+search instantiates the templates at the anchors and reads the
+essential-net edges off the laid-out links. Unfolding
 numbers each formula's subtree contiguously, so a frame does not
 depend on how its formulas are split into pieces: a grammar compiles
 one piece per entry when it is made (``lexicon.Grammar``), and
@@ -93,6 +95,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import accumulate
 from operator import itemgetter
 
 from . import formula as fm
@@ -154,11 +157,6 @@ def _layout(cls, side):
 
 _LAYOUT = {side + op: _layout(cls, side)
            for cls, op in fm.OPS.items() for side in "LR"}
-
-# Per link tag: the index in ``link.vertices()`` of the compound formula's
-# vertex, then of its two operands.
-_SHAPE = {tag: tuple(order.index(i) for i in range(3))
-          for tag, (_, order) in _LAYOUT.items()}
 
 
 def make_link(tag, top, first, second, mode=None) -> Link:
@@ -290,39 +288,47 @@ class FramePiece:
     from 0. Before an axiom link is chosen, every link, edge, scope set
     and position of a frame lies inside one formula's subtree, so a
     piece is built once and laid out in any frame at an id offset
-    (``lay_out``). Frames and grammars share pieces, so nothing changes
-    a piece once it is built."""
+    (``lay_out``). One walk makes its links, tallies and atom list;
+    ``lay_out`` reads the atom list for the frame's producers and
+    consumers, and ``_positions`` for its atoms' positions. Frames and
+    grammars share pieces, so nothing changes a piece once it is
+    built."""
 
     formulas: list
     links: list
-    roots: list      # the vertex of each formula, in order
-    producers: list  # (atom, vid) per producer, in the order unfold finds them
-    consumers: list
-    tally: dict      # atom -> [producers, consumers]
-    scopes: list     # per R par link: (what its hypothesis reaches around its body, body)
-    atoms: list      # per atom vertex: (vid, its points as a getter on the piece's points)
-    fresh: tuple     # per fresh point of the piece's links: whether it is a constant
+    roots: list   # the vertex of each formula, in order
+    atoms: list   # per atom vertex, in the order unfold reaches it: (atom,
+                  # vid, whether it is a producer, its points as a getter
+                  # on the piece's points)
+    tally: dict   # atom -> [producers, consumers]
+    scopes: list  # per R par link: (what its hypothesis reaches around its body, body)
+    fresh: tuple  # per fresh point of the piece's links: whether it is a constant
 
     @classmethod
     def of(cls, signed, sig) -> FramePiece:
         """Unfold each formula of ``signed``, (formula, positive) pairs,
         in turn by leftmost-outermost decomposition: each link's two new
-        vertices are made before either is unfolded. The formulas are
-        assumed well-sorted under sig."""
-        formulas = []
-        links = []
-        roots = []
-        producers, consumers = [], []
+        vertices are made before either is unfolded. The same walk hands
+        down positions over the piece's points: each root holds 2k+2
+        anchor slots, the roots' slots coming first in root order, and
+        each link passes its compound's positions to its operands by
+        ``_split`` as it is made, the junctions it leaves open being new
+        points after all slots: eigen constants at a par link, meta
+        variables at a tensor link. The formulas are assumed well-sorted
+        under sig."""
+        formulas, links, roots, atoms, fresh = [], [], [], [], []
         tally = {}
+        bounds = list(accumulate((2 * sig.sort_of(f) + 2 for f, _ in signed),
+                                 initial=0))
 
         def new_vertex(f):
             formulas.append(f)
             return len(formulas) - 1
 
-        def expand(vid, positive):
+        def expand(vid, positive, pos):
             f = formulas[vid]
             if type(f) is fm.Atom:
-                (producers if positive else consumers).append((f.name, vid))
+                atoms.append((f.name, vid, positive, itemgetter(*pos)))
                 tally.setdefault(f.name, [0, 0])[0 if positive else 1] += 1
                 return
             tag, (xf, xpos), (yf, ypos), swapped, moded = _UNFOLDING[type(f), positive]
@@ -331,51 +337,27 @@ class FramePiece:
             mode = f.mode if moded else None
             links.append(make_link(tag, vid, y, x, mode) if swapped
                          else make_link(tag, vid, x, y, mode))
-            expand(x, xpos)
-            expand(y, ypos)
+            eigen = links[-1].kind == "par"
 
-        for formula, positive in signed:
+            def new_points(n):
+                start = bounds[-1] + len(fresh)
+                fresh.extend([eigen] * n)
+                return tuple(range(start, start + n))
+
+            split = _split(pos, f, sig, new_points)  # in written order
+            expand(x, xpos, split[swapped])
+            expand(y, ypos, split[not swapped])
+
+        for (formula, positive), start, end in zip(signed, bounds, bounds[1:]):
             roots.append(new_vertex(formula))
-            expand(roots[-1], positive)
+            expand(roots[-1], positive, tuple(range(start, end)))
         succ, bodies = _essential_edges(links)
         scopes = []
         for hypothesis, body in bodies:
             seen = set()
             _reach(succ, seen, body, hypothesis, None, [])
             scopes.append((seen, body))
-        pos, fresh = _template(formulas, roots, links, sig)
-        atoms = [(v, itemgetter(*pos[v])) for _, v in producers + consumers]
-        return cls(formulas, links, roots, producers, consumers, tally, scopes,
-                   atoms, fresh)
-
-
-def _template(formulas, roots, links, sig):
-    """The positions of every vertex of a piece over its own points:
-    each root holds 2k+2 anchor slots, the roots' slots coming first in
-    root order, and each link passes positions to its subformulas by
-    ``_split``, the junctions it leaves open being new points after all
-    slots. Returns them with, per new point, whether it is a constant:
-    an eigen constant of a par link, else a meta variable of a tensor
-    link."""
-    pos = {}
-    slots = 0
-    for r in roots:
-        k = 2 * sig.sort_of(formulas[r]) + 2
-        pos[r] = tuple(range(slots, slots + k))
-        slots += k
-    fresh = []
-    for link in links:
-        eigen = link.kind == "par"
-
-        def new_points(n):
-            start = slots + len(fresh)
-            fresh.extend([eigen] * n)
-            return tuple(range(start, start + n))
-
-        vids = link.vertices()
-        top, x, y = (vids[i] for i in _SHAPE[link.tag])
-        pos[x], pos[y] = _split(pos[top], formulas[top], sig, new_points)
-    return pos, tuple(fresh)
+        return cls(formulas, links, roots, atoms, tally, scopes, tuple(fresh))
 
 
 def tally(pieces) -> dict:
@@ -402,10 +384,8 @@ def lay_out(pieces, counts) -> ProofFrame:
         formulas += piece.formulas
         roots += [r + d for r in piece.roots]
         links += [link.shifted(d) for link in piece.links] if d else piece.links
-        for atom, v in piece.producers:
-            producers.setdefault(atom, []).append(v + d)
-        for atom, v in piece.consumers:
-            consumers.setdefault(atom, []).append(v + d)
+        for atom, v, positive, _ in piece.atoms:
+            (producers if positive else consumers).setdefault(atom, []).append(v + d)
     return ProofFrame(formulas, links, roots[:-1], roots[-1], producers,
                       consumers, placed, counts)
 
@@ -432,9 +412,8 @@ class Anchors:
     """Where a sequent sits in a sentence. ``hypotheses`` holds, per
     hypothesis, the (start, end) token span of each piece of its string
     (sort + 1 spans); ``goal`` the same for the goal, ``((0, n),)`` for a
-    sentence of n tokens. ``sig`` gives the sorts of the formulas."""
+    sentence of n tokens."""
 
-    sig: object
     hypotheses: tuple
     goal: tuple
 
@@ -478,7 +457,7 @@ class Anchors:
             hypotheses.append(tuple(spans))
         if any(at.values()):
             return None
-        return cls(sig, tuple(hypotheses), ((0, len(words)),))
+        return cls(tuple(hypotheses), ((0, len(words)),))
 
 
 def _wrap(x, i, y):
@@ -543,7 +522,7 @@ def _positions(frame: ProofFrame, anchors: Anchors):
                     points.append(tokens[t])
         points += range(len(const), len(const) + len(piece.fresh))
         const += piece.fresh
-        for v, get in piece.atoms:
+        for _, v, _, get in piece.atoms:
             pos[v + d] = get(points)
     return pos, const
 

@@ -10,7 +10,8 @@ have a cycle, escape a scope or, with anchors, whose positions clash
 (``positions_clash``), so these are the references it is checked
 against. ``place``, the position pass behind ``positions_clash``,
 walks the laid-out frame's links from its hypotheses and goal instead
-of instantiating its pieces' position templates. ``validate`` checks
+of instantiating its pieces' position templates, and works out each
+link's compound and operands itself (``link_shape``). ``validate`` checks
 the role maps of an abstract proof structure against its elements,
 ``check_structure`` the link discipline of a proof structure, and
 ``iter_redexes`` lists the redexes a full rescan finds, the reference
@@ -21,7 +22,7 @@ from itertools import permutations, product
 
 from dispnet.aps import APS
 from dispnet.contraction import Redex, _match
-from dispnet.proofstructure import _SHAPE, ProofStructure, _split, realize
+from dispnet.proofstructure import ProofStructure, _split, realize
 
 
 def itertools_order(frame):
@@ -120,7 +121,26 @@ def escapes_scope(frame, linking):
     return False
 
 
-def place(frame, anchors):
+def link_shape(link):
+    """The vertex of a link's compound formula, then those of its two
+    operands in the order the compound writes them, worked out from the
+    link as the ``proofstructure`` module docstring describes it: the
+    one side (a tensor link's conclusion, a par link's premiss) holds an
+    implication's result or a product's or wrap's compound, and the two
+    side the other two formulas in written order, the compound standing
+    in for an implication's result. C/B and C^B write their result
+    first, A\\C and A!C last."""
+    one, two = ((link.conclusions, link.premisses) if link.kind == "tensor"
+                else (link.premisses, link.conclusions))
+    (v,) = one
+    op = link.tag[1]
+    if op in "*o":
+        return (v, *two)
+    i = 0 if op in "/^" else 1
+    return (two[i], *(v if j == i else two[j] for j in (0, 1)))
+
+
+def place(frame, sig, anchors):
     """The position pass: string positions for every vertex of a frame.
 
     Returns ``(pos, const)``: ``pos[vid]`` is a tuple of 2k+2 point ids
@@ -154,17 +174,15 @@ def place(frame, anchors):
             const.extend([eigen] * n)
             return tuple(range(start, start + n))
 
-        vids = link.vertices()
-        top, x, y = (vids[i] for i in _SHAPE[link.tag])
-        pos[x], pos[y] = _split(pos[top], frame.formulas[top], anchors.sig,
-                                fresh)
+        top, x, y = link_shape(link)
+        pos[x], pos[y] = _split(pos[top], frame.formulas[top], sig, fresh)
     return pos, const
 
 
-def positions_clash(frame, anchors, linking):
+def positions_clash(frame, sig, anchors, linking):
     """Whether unifying the string positions (``place``) of every axiom
     link of a whole linking makes two distinct constants meet."""
-    pos, const = place(frame, anchors)
+    pos, const = place(frame, sig, anchors)
     parent = list(range(len(const)))
 
     def root(x):

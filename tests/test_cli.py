@@ -644,24 +644,36 @@ def test_check_reads_comments_as_the_signature_does(tmp_path, capsys):
 
 
 DEEP = 3000
+MODIFIERS = """\
+np 0
+s 0
+mary := mary : np
+walks := walks : np\\s
+loudly := loudly : s\\s
+"""
 
 
-@pytest.mark.parametrize("command, text", [
-    ("prove", "(" * DEEP + "np" + ")" * DEEP + " |- np"),
-    ("prove", "np/" * DEEP + "np |- np"),
-    ("check", "np 0\n" + "(under_i 0 " * DEEP + '(hyp 0 "a" "np")' + ")" * DEEP),
-    ("parse", "s 0\nw := w : " + "(" * DEEP + "s" + ")" * DEEP),
-], ids=["prove-parens", "prove-slashes", "check", "parse"])
-def test_deep_input_is_input_error(command, text, tmp_path, sig_file, capsys):
+@pytest.mark.parametrize("command, text, sentence", [
+    ("prove", "(" * DEEP + "np" + ")" * DEEP + " |- np", None),
+    ("prove", "np/" * DEEP + "np |- np", None),
+    ("check", "np 0\n" + "(under_i 0 " * DEEP + '(hyp 0 "a" "np")' + ")" * DEEP, None),
+    ("parse", "s 0\nw := w : " + "(" * DEEP + "s" + ")" * DEEP, "w"),
+    # inputs that parse, but whose proofs are too deep to build or
+    # print: a head that takes 299 arguments, a verb modified 400 times
+    ("prove", "/".join(["np"] * 300) + ", np" * 299 + " |- np", None),
+    ("parse", MODIFIERS, "mary walks" + " loudly" * 400),
+], ids=["prove-parens", "prove-slashes", "check", "parse", "prove-deep-proof",
+        "parse-deep-proof"])
+def test_deep_input_is_input_error(command, text, sentence, tmp_path, sig_file,
+                                   capsys):
     if command == "prove":
         argv = ["prove", sig_file, text]
     else:
         path = tmp_path / "deep.txt"
         path.write_text(text)
-        argv = [command, str(path)] + (["w"] if command == "parse" else [])
+        argv = [command, str(path)] + ([sentence] if sentence else [])
     code, out, err = run(argv, capsys)
-    assert code == 2
-    assert err == "error: input nested too deeply\n"
+    assert (code, out, err) == (2, "", "error: input nested too deeply\n")
 
 
 @pytest.mark.parametrize("flags", [[], ["--all", "--trace", "--json", "--latex"]])

@@ -34,6 +34,7 @@ from dispnet.proofstructure import (
     CountMismatch,
     ProofFrame,
     ProofStructure,
+    _positions,
     count_mismatches,
     enumerate_linkings,
     lay_out,
@@ -347,13 +348,12 @@ def test_first_linking_is_lazy():
     assert peak < 5 * 2 ** 20
 
 
-RING_UP_ANCHORS = Anchors(SIG, (((0, 1),), ((1, 2), (3, 4)), ((2, 3),)),
-                          ((0, 4),))
+RING_UP_ANCHORS = Anchors((((0, 1),), ((1, 2), (3, 4)), ((2, 3),)), ((0, 4),))
 
 
 def test_position_pass_ring_up():
     frame = ring_up_frame()
-    pos, const = place(frame, RING_UP_ANCHORS)
+    pos, const = place(frame, SIG, RING_UP_ANCHORS)
     mary, rang_up, everyone = frame.hypotheses
     assert len(pos[rang_up]) == 4 and len(pos[frame.goal]) == 2
     # token positions are constants shared by every anchor naming them
@@ -433,7 +433,7 @@ def test_compiled_frames_match_unfold_and_the_reference_stream():
         tokens = random_sentence(rng, formulas, first)
         for cover in lexical_covers(grammar, tokens)[:4]:
             own = [m.frame_piece for m in cover]
-            before = [(p.producers, p.consumers) for p in own]
+            before = [list(p.atoms) for p in own]
             # the first goal that balances the cover, if one does
             goals = [f for f in [Atom("s"), Atom("np")] + formulas
                      if D_SIG.sort_of(f) == 0]
@@ -451,20 +451,20 @@ def test_compiled_frames_match_unfold_and_the_reference_stream():
                                        len(frame.consumers.get(a, ())))
                                    for a in frame.producers.keys() | frame.consumers.keys()}
             assert lay_out(pieces, tally(pieces)) == frame
-            assert [(p.producers, p.consumers) for p in own] == before
+            assert [p.atoms for p in own] == before
             frames += 1
             entries = [m.entry for m in cover]
             repeated += len(set(map(id, entries))) < len(entries)
             shared += {"e0", "e5"} <= {e.headword for e in entries}
             if count_mismatches(frame) or linking_count(frame) > 300:
                 continue
-            anchors = Anchors(D_SIG, [m.spans for m in cover], ((0, len(tokens)),))
+            anchors = Anchors([m.spans for m in cover], ((0, len(tokens)),))
             full = [(ps.index, linking(ps)) for ps in all_linkings(frame)]
             acyclic = [(i, l) for i, l in full if not has_cycle(frame, l)]
             kept = [(i, l) for i, l in acyclic if not escapes_scope(frame, l)]
             assert [(ps.index, linking(ps)) for ps in enumerate_linkings(frame)] == kept
             assert [(ps.index, linking(ps)) for ps in enumerate_linkings(frame, anchors)] == [
-                (i, l) for i, l in kept if not positions_clash(frame, anchors, l)]
+                (i, l) for i, l in kept if not positions_clash(frame, D_SIG, anchors, l)]
             assert linking_count(frame) == len(full)
             streams += 1
             escaped += len(acyclic) - len(kept)
@@ -472,7 +472,7 @@ def test_compiled_frames_match_unfold_and_the_reference_stream():
     assert escaped > 0
 
 
-def anchors_of(sig, hyp_terms, term):
+def anchors_of(hyp_terms, term):
     """Anchors read off a string ``term`` that the hypothesis terms
     ``hyp_terms``, in hypothesis order, spell: each hypothesis word
     occurs once in it, and every piece of a hypothesis is a run of
@@ -490,14 +490,14 @@ def anchors_of(sig, hyp_terms, term):
     for piece in term.pieces():
         goal.append((k, k + len(piece)))
         k += len(piece)
-    return Anchors(sig, tuple(hyps), tuple(goal))
+    return Anchors(tuple(hyps), tuple(goal))
 
 
 def test_pruning_keeps_every_net_on_corpus(proof_corpus):
     checked = 0
     for proof, *_ in proof_corpus:
         leaves = open_leaves_in_order(proof)
-        anchors = anchors_of(CORPUS_SIG, [h.term for h in leaves], proof.term)
+        anchors = anchors_of([h.term for h in leaves], proof.term)
         frame = unfold([h.formula for h in leaves], proof.formula, CORPUS_SIG)
         if linking_count(frame) > 200:
             continue
@@ -519,7 +519,7 @@ def anchored_survivors(proof_corpus):
     survivors = []
     for i, (proof, *_) in enumerate(proof_corpus):
         leaves = open_leaves_in_order(proof)
-        anchors = anchors_of(CORPUS_SIG, [h.term for h in leaves], proof.term)
+        anchors = anchors_of([h.term for h in leaves], proof.term)
         frame = unfold([h.formula for h in leaves], proof.formula, CORPUS_SIG)
         terms = {v: h.term for v, h in zip(frame.hypotheses, leaves)}
         survivors.extend((i, ps.index, is_proof_net(ps, terms, CORPUS_SIG, proof.term))
@@ -569,8 +569,7 @@ def test_derived_anchors_keep_every_net_on_corpus(proof_corpus):
         leaves = open_leaves_in_order(proof)
         anchors = Anchors.of_terms(CORPUS_SIG, [(h.term, h.formula) for h in leaves],
                                    proof.formula, proof.term)
-        assert anchors == anchors_of(CORPUS_SIG, [h.term for h in leaves],
-                                     proof.term), str(proof.term)
+        assert anchors == anchors_of([h.term for h in leaves], proof.term), str(proof.term)
         frame = unfold([h.formula for h in leaves], proof.formula, CORPUS_SIG)
         if linking_count(frame) > 200:
             continue
@@ -616,7 +615,7 @@ def test_anchored_survivors_contract_on_random_frames():
             net = is_proof_net(ps, terms, sig)
             if not net.is_net:
                 continue
-            anchors = anchors_of(sig, hyp_terms, net.comb_term)
+            anchors = anchors_of(hyp_terms, net.comb_term)
             kinds = {s.index: is_proof_net(s, terms, sig, net.comb_term).kind
                      for s in enumerate_linkings(frame, anchors)}
             assert kinds.get(ps.index) == "net", (sequent, ps.index, kinds)
@@ -634,7 +633,7 @@ def test_search_skips_exactly_the_cyclic_linkings(proof_corpus):
     cases = []  # signature, frame, hypothesis terms, expected string, anchors
     for proof, *_ in proof_corpus:
         leaves = open_leaves_in_order(proof)
-        anchors = anchors_of(CORPUS_SIG, [h.term for h in leaves], proof.term)
+        anchors = anchors_of([h.term for h in leaves], proof.term)
         frame = unfold([h.formula for h in leaves], proof.formula, CORPUS_SIG)
         if linking_count(frame) <= 300:
             terms = {v: h.term for v, h in zip(frame.hypotheses, leaves)}
@@ -651,7 +650,7 @@ def test_search_skips_exactly_the_cyclic_linkings(proof_corpus):
     linkings = dropped = 0
     for sig, frame, terms, expected, anchors in cases:
         reference = [ps for ps in all_linkings(frame) if anchors is None
-                     or not positions_clash(frame, anchors, linking(ps))]
+                     or not positions_clash(frame, sig, anchors, linking(ps))]
         cut = [has_cycle(frame, linking(ps)) or escapes_scope(frame, linking(ps))
                for ps in reference]
         assert ([(ps.index, linking(ps)) for ps in enumerate_linkings(frame, anchors)]
@@ -665,6 +664,68 @@ def test_search_skips_exactly_the_cyclic_linkings(proof_corpus):
             linkings += len(reference)
             dropped += sum(cut)
     assert len(cases) > 900 and linkings > 10000 and dropped > linkings / 2
+
+
+def made_up_anchors(frame, sig):
+    """Anchors for any frame: each hypothesis piece one token, end to
+    end, and the goal's pieces the first tokens again, so that the goal
+    and the hypotheses share token constants."""
+    hyps, t = [], 0
+    for v in frame.hypotheses:
+        k = sig.sort_of(frame.formulas[v]) + 1
+        hyps.append(tuple((i, i + 1) for i in range(t, t + k)))
+        t += k
+    k = sig.sort_of(frame.formulas[frame.goal]) + 1
+    return Anchors(tuple(hyps), tuple((i, i + 1) for i in range(k)))
+
+
+def assert_positions_match_place(frame, sig, anchors):
+    """``_positions`` gives every atom vertex of the frame the positions
+    ``place`` gives it, under one bijection of all points that keeps
+    each point's constant flag and maps each token constant to the same
+    token: both number a token's point at its first mention, hypotheses
+    first and the goal last, so the bijection keeps the order of the
+    token points."""
+    got, const = _positions(frame, anchors)
+    want, want_const = place(frame, sig, anchors)
+    atoms = [v for v, f in enumerate(frame.formulas) if type(f) is Atom]
+    assert sorted(got) == atoms
+    image = {}
+    for v in atoms:
+        assert len(got[v]) == len(want[v])
+        for p, q in zip(want[v], got[v]):
+            assert image.setdefault(p, q) == q, (v, p)
+            assert const[q] == want_const[p], (v, p)
+    assert sorted(image) == list(range(len(want_const)))
+    assert sorted(image.values()) == list(range(len(const)))
+    tokens = sorted({p for v in [*frame.hypotheses, frame.goal] for p in want[v]})
+    assert [image[p] for p in tokens] == sorted(image[p] for p in tokens)
+
+
+def test_positions_match_place(proof_corpus):
+    """The templates of a frame's pieces, instantiated at its anchors,
+    are the positions ``place`` hands down the laid-out frame's links:
+    on random frames, the corpus sequents anchored at their own term,
+    and grammar covers laid out from compiled pieces."""
+    cases = [(SIG, frame, made_up_anchors(frame, SIG)) for frame, _ in random_frames()]
+    cases += [(CORPUS_SIG, frame, made_up_anchors(frame, CORPUS_SIG))
+              for frame in small_d_frames()]
+    for proof, *_ in proof_corpus:
+        leaves = open_leaves_in_order(proof)
+        cases.append((CORPUS_SIG,
+                      unfold([h.formula for h in leaves], proof.formula, CORPUS_SIG),
+                      anchors_of([h.term for h in leaves], proof.term)))
+    rng = random.Random(21)
+    for trial in range(300):
+        grammar, formulas = random_lexicon(rng)
+        tokens = random_sentence(rng, formulas, [rng.randrange(10)])
+        for cover in lexical_covers(grammar, tokens)[:4]:
+            pieces = [m.frame_piece for m in cover] + [grammar.goal_piece(Atom("s"))]
+            cases.append((D_SIG, lay_out(pieces, tally(pieces)),
+                          Anchors([m.spans for m in cover], ((0, len(tokens)),))))
+    for sig, frame, anchors in cases:
+        assert_positions_match_place(frame, sig, anchors)
+    assert sum(len(frame.pieces) > 2 for _, frame, _ in cases) > 100
 
 
 def copying_realize(frame, pairs):
