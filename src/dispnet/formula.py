@@ -224,28 +224,30 @@ def well_sorted(f, sig: Signature) -> list:
     again, for it or for a formula that contains it, skips its subtree;
     violations are found afresh each time."""
     violations = []
-
-    def visit(g):
-        if isinstance(g, Atom):
-            if g.name not in sig:
-                violations.append(f"unknown atom {g.name}")
-            return
-        try:
-            if g._ok and g._sig is sig:
-                return
-        except AttributeError:
-            pass
-        before = len(violations)
-        for child in _children(g):
-            visit(child)
-        for v in _outer_violations(g, sig):
-            violations.append(f"{format_formula(g)}: {v}")
-        if len(violations) == before:
-            sig.sort_of(g)  # ties g's slots to sig
-            object.__setattr__(g, "_ok", True)
-
-    visit(f)
+    _check_sorts(f, sig, violations)
     return violations
+
+
+def _check_sorts(g, sig: Signature, violations: list):
+    """Add the violations of g's subtree to ``violations``, innermost
+    first, and mark each compound node found well-sorted."""
+    if isinstance(g, Atom):
+        if g.name not in sig:
+            violations.append(f"unknown atom {g.name}")
+        return
+    try:
+        if g._ok and g._sig is sig:
+            return
+    except AttributeError:
+        pass
+    before = len(violations)
+    for child in _children(g):
+        _check_sorts(child, sig, violations)
+    for v in _outer_violations(g, sig):
+        violations.append(f"{format_formula(g)}: {v}")
+    if len(violations) == before:
+        sig.sort_of(g)  # ties g's slots to sig
+        object.__setattr__(g, "_ok", True)
 
 
 def _children(f):
@@ -360,37 +362,49 @@ def _tokenize(text: str):
 
 
 def parse_formula(text: str):
-    tokens = _tokenize(text)
-    pos = 0
+    parser = _Parser(text)
+    f = parser.expr()
+    if parser.pos != len(parser.tokens):
+        raise FormulaError(f"trailing tokens in {text!r}")
+    return f
 
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
 
-    def parse_primary():
-        nonlocal pos
-        tok = peek()
+class _Parser:
+    """Recursive descent over the tokens of one formula, ``pos`` being
+    the next token's index. The methods recurse; the parser holds no
+    reference to them."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def primary(self):
+        tok, text = self.peek(), self.text
         if tok is None:
             raise FormulaError(f"unexpected end of formula in {text!r}")
         if tok[0] == "atom":
-            pos += 1
+            self.pos += 1
             return Atom(tok[1])
         if tok[0] == "(":
-            pos += 1
-            f = parse_expr()
-            if peek() is None or peek()[0] != ")":
+            self.pos += 1
+            f = self.expr()
+            if self.peek() is None or self.peek()[0] != ")":
                 raise FormulaError(f"missing ) in {text!r}")
-            pos += 1
+            self.pos += 1
             return f
         raise FormulaError(f"unexpected {tok!r} in {text!r}")
 
-    def parse_expr():
-        nonlocal pos
-        operands = [parse_primary()]
+    def expr(self):
+        operands = [self.primary()]
         ops = []
-        while peek() is not None and peek()[0] == "op":
-            ops.append(peek()[1:])
-            pos += 1
-            operands.append(parse_primary())
+        while self.peek() is not None and self.peek()[0] == "op":
+            ops.append(self.peek()[1:])
+            self.pos += 1
+            operands.append(self.primary())
         if not ops:
             return operands[0]
         if len(ops) > 1:
@@ -406,39 +420,34 @@ def parse_formula(text: str):
                     f = Under(left, f)
                 return f
             raise FormulaError(
-                f"mixed connectives need parentheses in {text!r}"
+                f"mixed connectives need parentheses in {self.text!r}"
             )
         (op, mode), (a, b) = ops[0], operands
         return connective(op, a, b, mode)
 
-    f = parse_expr()
-    if pos != len(tokens):
-        raise FormulaError(f"trailing tokens in {text!r}")
-    return f
-
 
 def format_formula(f) -> str:
-    def group(g, bare_ok):
-        s = fmt(g)
-        if isinstance(g, Atom) or bare_ok:
-            return s
-        return f"({s})"
+    if isinstance(f, Atom):
+        return f.name
+    a, b = operands(f)
+    op = OPS[type(f)]
+    if op in MODED:
+        op += str(f.mode)
+    if op[0] == "o":  # o needs a token boundary before it
+        op = f" {op} "
+    # only a chain of one / (nesting to the left) or of one \ (to the
+    # right) drops its parentheses
+    return (_group(a, type(f) is type(a) is Over) + op
+            + _group(b, type(f) is type(b) is Under))
 
-    def fmt(g):
-        if isinstance(g, Atom):
-            return g.name
-        a, b = operands(g)
-        op = OPS[type(g)]
-        if op in MODED:
-            op += str(g.mode)
-        if op[0] == "o":  # o needs a token boundary before it
-            op = f" {op} "
-        # only a chain of one / (nesting to the left) or of one \ (to the
-        # right) drops its parentheses
-        return (group(a, type(g) is type(a) is Over) + op
-                + group(b, type(g) is type(b) is Under))
 
-    return fmt(f)
+def _group(g, bare_ok) -> str:
+    """g formatted as an operand: in parentheses unless it is an atom or
+    ``bare_ok``."""
+    s = format_formula(g)
+    if isinstance(g, Atom) or bare_ok:
+        return s
+    return f"({s})"
 
 
 def random_formula(rng: random.Random, sig: Signature, max_connectives: int):

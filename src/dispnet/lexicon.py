@@ -26,6 +26,7 @@ walked per sentence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from . import formula as fm
 from . import terms as tm
@@ -180,40 +181,41 @@ def lexical_covers(grammar: Grammar, tokens) -> list:
     enumerated depth-first in grammar order, so the result is
     deterministic.
     """
-    tokens = tuple(tokens)
     out = []
-
-    def piece_at(piece, i):
-        return tokens[i:i + len(piece)] == piece
-
-    def search(i, open_matches, done):
-        # open_matches: list of (entry, pieces, frame_piece, spans_so_far,
-        # next_piece_index)
-        if i == len(tokens):
-            if not open_matches:
-                out.append(tuple(sorted(done, key=lambda m: m.start)))
-            return
-        # continue an open discontinuous entry at token i
-        for idx, (entry, pieces, frame_piece, spans, k) in enumerate(open_matches):
-            piece = pieces[k]
-            if piece_at(piece, i):
-                new = (entry, pieces, frame_piece, spans + ((i, i + len(piece)),),
-                       k + 1)
-                rest = open_matches[:idx] + open_matches[idx + 1:]
-                advance(i + len(piece), rest, new, done)
-        # start a new entry at token i
-        for entry, pieces, frame_piece in grammar.by_first.get(tokens[i], ()):
-            piece = pieces[0]
-            if piece_at(piece, i):
-                new = (entry, pieces, frame_piece, ((i, i + len(piece)),), 1)
-                advance(i + len(piece), list(open_matches), new, done)
-
-    def advance(i, open_matches, new, done):
-        entry, pieces, frame_piece, spans, k = new
-        if k == len(pieces):
-            search(i, open_matches, done + [EntryMatch(entry, spans, frame_piece)])
-        else:
-            search(i, open_matches + [new], done)
-
-    search(0, [], [])
+    _search(grammar.by_first, tuple(tokens), out, 0, [], [])
     return out
+
+
+def _search(by_first, tokens, out, i, open_matches, done):
+    """Add to ``out`` every cover of ``tokens`` from token i on, given
+    the entries still open and the matches done before i. An open match
+    is (entry, pieces, frame piece, spans so far, next piece index)."""
+    if i == len(tokens):
+        if not open_matches:
+            out.append(tuple(sorted(done, key=attrgetter("start"))))
+        return
+    # continue an open discontinuous entry at token i
+    for idx, (entry, pieces, frame_piece, spans, k) in enumerate(open_matches):
+        piece = pieces[k]
+        if tokens[i:i + len(piece)] == piece:
+            new = (entry, pieces, frame_piece, spans + ((i, i + len(piece)),), k + 1)
+            rest = open_matches[:idx] + open_matches[idx + 1:]
+            _advance(by_first, tokens, out, i + len(piece), rest, new, done)
+    # start a new entry at token i
+    for entry, pieces, frame_piece in by_first.get(tokens[i], ()):
+        piece = pieces[0]
+        if tokens[i:i + len(piece)] == piece:
+            new = (entry, pieces, frame_piece, ((i, i + len(piece)),), 1)
+            _advance(by_first, tokens, out, i + len(piece), list(open_matches),
+                     new, done)
+
+
+def _advance(by_first, tokens, out, i, open_matches, new, done):
+    """Go on from token i with the match ``new`` just extended: done if
+    it has all its pieces, open otherwise."""
+    entry, pieces, frame_piece, spans, k = new
+    if k == len(pieces):
+        _search(by_first, tokens, out, i, open_matches,
+                done + [EntryMatch(entry, spans, frame_piece)])
+    else:
+        _search(by_first, tokens, out, i, open_matches + [new], done)

@@ -301,39 +301,7 @@ def check_nd(p, sig) -> list:
     each subtree up to its parent, which gives the body's to its rule."""
     violations = []
     discharged = set()
-
-    def visit(node, path):
-        if isinstance(node, Hyp):
-            bad = fm.well_sorted(node.formula, sig)
-            if bad:
-                violations.append(f"{path}: {'; '.join(bad)}")
-            else:
-                want = sig.sort_of(node.formula)
-                if node.term.sort != want:
-                    violations.append(
-                        f"{path}: hypothesis term {node.term} has sort "
-                        f"{node.term.sort}, formula needs {want}"
-                    )
-            return {node.label: node}
-        discharged.update(node.discharges)
-        opened = []
-        for i, child in enumerate(node.children):
-            opened.append(visit(child, f"{path}.{i}"))
-        try:
-            redone = apply_rule(node.name, node.mode, node.discharges,
-                                node.children, opened[-1] if opened else None)
-        except NDError as exc:
-            violations.append(f"{path}: {exc}")
-        else:
-            if redone.term != node.term or redone.formula != node.formula:
-                violations.append(
-                    f"{path}: rule {node.name} concludes {redone.term} : "
-                    f"{fm.format_formula(redone.formula)}, node claims "
-                    f"{node.term} : {fm.format_formula(node.formula)}"
-                )
-        return _merged(opened, node.discharges)
-
-    opened = visit(p, "root")
+    opened = _audit(p, "root", sig, violations, discharged)
     if isinstance(opened, str):
         violations.insert(0, opened)
         opened = {}
@@ -341,6 +309,41 @@ def check_nd(p, sig) -> list:
         opened = open_hyps(p)  # the labels in leaf order
     return [f"hypothesis label {label} used twice"
             for label in opened if label in discharged] + violations
+
+
+def _audit(node, path, sig, violations, discharged):
+    """Re-derive the subproof ``node`` at ``path``: add its violations to
+    ``violations`` and its discharge labels to ``discharged``, and return
+    its open hypotheses as ``_merged`` gives them."""
+    if isinstance(node, Hyp):
+        bad = fm.well_sorted(node.formula, sig)
+        if bad:
+            violations.append(f"{path}: {'; '.join(bad)}")
+        else:
+            want = sig.sort_of(node.formula)
+            if node.term.sort != want:
+                violations.append(
+                    f"{path}: hypothesis term {node.term} has sort "
+                    f"{node.term.sort}, formula needs {want}"
+                )
+        return {node.label: node}
+    discharged.update(node.discharges)
+    opened = []
+    for i, child in enumerate(node.children):
+        opened.append(_audit(child, f"{path}.{i}", sig, violations, discharged))
+    try:
+        redone = apply_rule(node.name, node.mode, node.discharges,
+                            node.children, opened[-1] if opened else None)
+    except NDError as exc:
+        violations.append(f"{path}: {exc}")
+    else:
+        if redone.term != node.term or redone.formula != node.formula:
+            violations.append(
+                f"{path}: rule {node.name} concludes {redone.term} : "
+                f"{fm.format_formula(redone.formula)}, node claims "
+                f"{node.term} : {fm.format_formula(node.formula)}"
+            )
+    return _merged(opened, node.discharges)
 
 
 # -- proof -> proof net (one link per rule) -------------------------------
@@ -356,44 +359,7 @@ def net_of_nd(p, sig):
     formulas = []
     links = []
     hyp_vertex = {}
-
-    def new_vertex(formula):
-        formulas.append(formula)
-        return len(formulas) - 1
-
-    def build(node):
-        if isinstance(node, Hyp):
-            vid = new_vertex(node.formula)
-            hyp_vertex[node.label] = vid
-            return vid
-        kids = [build(c) for c in node.children]
-        withdrawn = [hyp_vertex[label] for label in node.discharges]
-        op, kind = node.name
-        r = RULES[node.name].result
-        if r < 0:
-            # * and o: I joins its premisses into its conclusion, E splits
-            # its major premiss into the withdrawn hypotheses
-            if kind == "I":
-                top = out = new_vertex(node.formula)
-                parts = kids
-            else:
-                (top, out), parts = kids, withdrawn
-        else:
-            # an implication: I concludes it from its body (the result)
-            # and withdrawn hypothesis (the argument), E concludes the
-            # major premiss's result from the minor premiss (the argument)
-            out = new_vertex(node.formula)
-            if kind == "I":
-                top, parts = out, withdrawn * 2
-                parts[r] = kids[0]
-            else:
-                top, parts = kids[r], list(kids)
-                parts[r] = out
-        tag = ("L" if kind == "E" else "R") + op
-        links.append(make_link(tag, top, *parts, node.mode))
-        return out
-
-    goal = build(p)
+    goal = _net_links(p, formulas, links, hyp_vertex)
     leaves = open_leaves_in_order(p)
     hyp_ids = [hyp_vertex[h.label] for h in leaves]
     ps = ProofStructure(ProofFrame(formulas, links, hyp_ids, goal))
@@ -401,6 +367,44 @@ def net_of_nd(p, sig):
     aps = to_aps(ps, terms, sig)
     trace = contract(aps.clone())
     return ps, terms, aps, trace
+
+
+def _net_links(node, formulas, links, hyp_vertex):
+    """Add the vertices and links of the subproof ``node`` to
+    ``formulas`` and ``links``, and each hypothesis leaf's vertex to
+    ``hyp_vertex`` by label; returns the vertex of its conclusion."""
+    if isinstance(node, Hyp):
+        vid = hyp_vertex[node.label] = len(formulas)
+        formulas.append(node.formula)
+        return vid
+    kids = [_net_links(c, formulas, links, hyp_vertex) for c in node.children]
+    withdrawn = [hyp_vertex[label] for label in node.discharges]
+    op, kind = node.name
+    r = RULES[node.name].result
+    if r < 0:
+        # * and o: I joins its premisses into its conclusion, E splits
+        # its major premiss into the withdrawn hypotheses
+        if kind == "I":
+            top = out = len(formulas)
+            formulas.append(node.formula)
+            parts = kids
+        else:
+            (top, out), parts = kids, withdrawn
+    else:
+        # an implication: I concludes it from its body (the result)
+        # and withdrawn hypothesis (the argument), E concludes the
+        # major premiss's result from the minor premiss (the argument)
+        out = len(formulas)
+        formulas.append(node.formula)
+        if kind == "I":
+            top, parts = out, withdrawn * 2
+            parts[r] = kids[0]
+        else:
+            top, parts = kids[r], list(kids)
+            parts[r] = out
+    tag = ("L" if kind == "E" else "R") + op
+    links.append(make_link(tag, top, *parts, node.mode))
+    return out
 
 
 # -- proof net -> proof ----------------------------------------------------
@@ -436,43 +440,58 @@ def extract_nd(verdict: NetVerdict, sig) -> "Proof":
     later steps only substitute into that proof or build on it."""
     if verdict.kind == "stuck":
         raise ExtractionError("extract_nd needs a contractible structure")
-    ps = verdict.ps
-    frame, find = ps.frame, ps.find
-    fresh = fresh_beyond(verdict.hyp_terms.values())
-    concluded_by = {v: link for link in frame.links for v in link.conclusions}
-    eliminations = {}  # vertex -> product-style par links, in trace order
-    for step in verdict.trace.steps:
-        if step.rule[0] in "*o":
-            eliminations.setdefault(step.concl, []).append(frame.links[step.source])
+    try:
+        return _Extraction(verdict, sig).build(verdict.ps.goal)
+    except NDError as exc:
+        raise ExtractionError(f"rule failed during extraction: {exc}") from exc
 
-    # every hypothesis leaf made so far, by label: the labels are vertex
-    # ids, so one map serves every rule, and a withdrawn leaf's fresh
-    # words still let the rule's shape check where it sits in the body
-    made = {}
 
-    def build(v):
-        formula = frame.formulas[v]
-        link = concluded_by.get(v)
+class _Extraction:
+    """What ``extract_nd`` reads a proof off: the structure's links by
+    the vertex each concludes, its product-style par links by the vertex
+    their comb concluded when the trace fired them, and every hypothesis
+    leaf made so far. ``build`` recurses; the object holds no reference
+    to it."""
+
+    def __init__(self, verdict: NetVerdict, sig):
+        ps = verdict.ps
+        self.sig, self.frame, self.find = sig, ps.frame, ps.find
+        self.hyp_terms = verdict.hyp_terms
+        self.fresh = fresh_beyond(verdict.hyp_terms.values())
+        self.concluded_by = {v: link for link in ps.frame.links
+                             for v in link.conclusions}
+        self.eliminations = {}  # vertex -> product-style par links, in trace order
+        for step in verdict.trace.steps:
+            if step.rule[0] in "*o":
+                self.eliminations.setdefault(step.concl, []).append(
+                    ps.frame.links[step.source])
+        # every hypothesis leaf made so far, by label: the labels are
+        # vertex ids, so one map serves every rule, and a withdrawn
+        # leaf's fresh words still let the rule's shape check where it
+        # sits in the body
+        self.made = {}
+
+    def build(self, v):
+        """The proof of vertex v."""
+        find, made = self.find, self.made
+        formula = self.frame.formulas[v]
+        link = self.concluded_by.get(v)
         if link is None:
-            proof = made[v] = Hyp(v, verdict.hyp_terms[v], formula)
+            proof = made[v] = Hyp(v, self.hyp_terms[v], formula)
         elif link.kind == "tensor":
             proof = apply_rule(_rule(link), link.mode, (),
-                               [build(find(u)) for u in link.premisses])
+                               [self.build(find(u)) for u in link.premisses])
         elif link.main == v:
             aux = tuple(u for u in link.conclusions if u != v)
             proof = apply_rule(_rule(link), link.mode, aux,
-                               [build(find(link.premisses[0]))], made)
+                               [self.build(find(link.premisses[0]))], made)
         else:
-            proof = made[v] = Hyp(v, fresh.term(sig.sort_of(formula)), formula)
-        for par in eliminations.get(v, ()):
+            proof = made[v] = Hyp(v, self.fresh.term(self.sig.sort_of(formula)),
+                                  formula)
+        for par in self.eliminations.get(v, ()):
             proof = apply_rule(_rule(par), par.mode, par.conclusions,
-                               [build(find(par.premisses[0])), proof], made)
+                               [self.build(find(par.premisses[0])), proof], made)
         return proof
-
-    try:
-        return build(ps.goal)
-    except NDError as exc:
-        raise ExtractionError(f"rule failed during extraction: {exc}") from exc
 
 
 # -- random proofs ---------------------------------------------------------
@@ -666,24 +685,26 @@ def canonical_proof(p):
     call it: each net is one reading. The tests use it as the reference
     for extraction being injective, and the benchmark's tracer still
     wraps it by name."""
-    opened = set(open_hyps(p))
-    mapping = {}
+    return _renamed(p, set(open_hyps(p)), {})
 
-    def rename(label):
-        if label in opened:
-            return label
-        if label not in mapping:
-            mapping[label] = -(len(mapping) + 1)
-        return mapping[label]
 
-    def walk(n):
-        if isinstance(n, Hyp):
-            return Hyp(rename(n.label), n.term, n.formula)
-        kids = tuple(walk(c) for c in n.children)
-        return replace(n, children=kids,
-                       discharges=tuple(rename(l) for l in n.discharges))
+def _renamed(n, opened, mapping):
+    """``canonical_proof`` of the subproof n, given the open labels and
+    the discharge labels renamed so far."""
+    if isinstance(n, Hyp):
+        return Hyp(_rename(n.label, opened, mapping), n.term, n.formula)
+    kids = tuple(_renamed(c, opened, mapping) for c in n.children)
+    return replace(n, children=kids,
+                   discharges=tuple(_rename(l, opened, mapping)
+                                    for l in n.discharges))
 
-    return walk(p)
+
+def _rename(label, opened, mapping):
+    if label in opened:
+        return label
+    if label not in mapping:
+        mapping[label] = -(len(mapping) + 1)
+    return mapping[label]
 
 
 # -- serialization ------------------------------------------------------------
@@ -814,42 +835,39 @@ def latex_term(term: StringTerm) -> str:
 
 
 def latex_formula(f) -> str:
-    def group(g):
-        s = fmt(g)
-        return s if isinstance(g, fm.Atom) else f"({s})"
+    if isinstance(f, fm.Atom):
+        return f"\\mathit{{{f.name}}}"
+    a, b = fm.operands(f)
+    op = fm.OPS[type(f)]
+    if op == "/":
+        return f"{_latex_group(a)}/{_latex_group(b)}"
+    mode = f"_{{{f.mode}}}" if op in fm.MODED else ""
+    return f"{_latex_group(a)}{_LATEX_OPS[op]}{mode} {_latex_group(b)}"
 
-    def fmt(g):
-        if isinstance(g, fm.Atom):
-            return f"\\mathit{{{g.name}}}"
-        a, b = fm.operands(g)
-        op = fm.OPS[type(g)]
-        if op == "/":
-            return f"{group(a)}/{group(b)}"
-        mode = f"_{{{g.mode}}}" if op in fm.MODED else ""
-        return f"{group(a)}{_LATEX_OPS[op]}{mode} {group(b)}"
 
-    return fmt(f)
+def _latex_group(g) -> str:
+    """g in LaTeX as an operand: in parentheses unless it is an atom."""
+    s = latex_formula(g)
+    return s if isinstance(g, fm.Atom) else f"({s})"
 
 
 def latex_nd(p) -> str:
-    def rule_label(node):
-        op = _LATEX_OPS[node.name[0]]
-        if node.mode is not None:
-            op += f"_{{{node.mode}}}"
-        kind = node.name[-1]
-        if node.discharges:
-            subs = ",".join(str(l) for l in node.discharges)
-            return f"{op} {kind}_{{{subs}}}"
-        return f"{op} {kind}"
+    concl = f"{latex_term(p.term)} : {latex_formula(p.formula)}"
+    if isinstance(p, Hyp):
+        return concl
+    premisses = " & ".join(latex_nd(c) for c in p.children)
+    return f"\\infer[{_rule_label(p)}]{{{concl}}}{{{premisses}}}"
 
-    def fmt(node):
-        concl = f"{latex_term(node.term)} : {latex_formula(node.formula)}"
-        if isinstance(node, Hyp):
-            return concl
-        premisses = " & ".join(fmt(c) for c in node.children)
-        return f"\\infer[{rule_label(node)}]{{{concl}}}{{{premisses}}}"
 
-    return fmt(p)
+def _rule_label(node) -> str:
+    op = _LATEX_OPS[node.name[0]]
+    if node.mode is not None:
+        op += f"_{{{node.mode}}}"
+    kind = node.name[-1]
+    if node.discharges:
+        subs = ",".join(str(l) for l in node.discharges)
+        return f"{op} {kind}_{{{subs}}}"
+    return f"{op} {kind}"
 
 
 def latex_trace(trace) -> str:

@@ -320,37 +320,36 @@ class FramePiece:
         tally = {}
         bounds = list(accumulate((2 * sig.sort_of(f) + 2 for f, _ in signed),
                                  initial=0))
+        eigen = False  # whether the link being made is a par link
 
-        def new_vertex(f):
-            formulas.append(f)
-            return len(formulas) - 1
-
-        def expand(vid, positive, pos):
-            f = formulas[vid]
-            if type(f) is fm.Atom:
-                atoms.append((f.name, vid, positive, itemgetter(*pos)))
-                tally.setdefault(f.name, [0, 0])[0 if positive else 1] += 1
-                return
-            tag, (xf, xpos), (yf, ypos), swapped, moded = _UNFOLDING[type(f), positive]
-            x = new_vertex(getattr(f, xf))
-            y = new_vertex(getattr(f, yf))
-            mode = f.mode if moded else None
-            links.append(make_link(tag, vid, y, x, mode) if swapped
-                         else make_link(tag, vid, x, y, mode))
-            eigen = links[-1].kind == "par"
-
-            def new_points(n):
-                start = bounds[-1] + len(fresh)
-                fresh.extend([eigen] * n)
-                return tuple(range(start, start + n))
-
-            split = _split(pos, f, sig, new_points)  # in written order
-            expand(x, xpos, split[swapped])
-            expand(y, ypos, split[not swapped])
+        def new_points(n):
+            start = bounds[-1] + len(fresh)
+            fresh.extend([eigen] * n)
+            return tuple(range(start, start + n))
 
         for (formula, positive), start, end in zip(signed, bounds, bounds[1:]):
-            roots.append(new_vertex(formula))
-            expand(roots[-1], positive, tuple(range(start, end)))
+            roots.append(len(formulas))
+            formulas.append(formula)
+            # (vertex, polarity, positions) still to unfold, the next on
+            # top, so each subtree is unfolded before its right sibling
+            stack = [(roots[-1], positive, tuple(range(start, end)))]
+            while stack:
+                vid, positive, pos = stack.pop()
+                f = formulas[vid]
+                if type(f) is fm.Atom:
+                    atoms.append((f.name, vid, positive, itemgetter(*pos)))
+                    tally.setdefault(f.name, [0, 0])[0 if positive else 1] += 1
+                    continue
+                tag, (xf, xpos), (yf, ypos), swapped, moded = _UNFOLDING[type(f), positive]
+                x, y = len(formulas), len(formulas) + 1
+                formulas += (getattr(f, xf), getattr(f, yf))
+                mode = f.mode if moded else None
+                links.append(make_link(tag, vid, y, x, mode) if swapped
+                             else make_link(tag, vid, x, y, mode))
+                eigen = links[-1].kind == "par"
+                split = _split(pos, f, sig, new_points)  # in written order
+                stack.append((y, ypos, split[not swapped]))
+                stack.append((x, xpos, split[swapped]))
         succ, bodies = _essential_edges(links)
         scopes = []
         for hypothesis, body in bodies:
