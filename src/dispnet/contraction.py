@@ -55,7 +55,8 @@ lowest-id par redex. After a step with result comb R, the consumed
 elements leave the table and only these are matched again: R; the par
 links that conclude a point in R's row; the combs and par links that
 conclude a point the step moved into R's row; the element whose
-premiss is R's conclusion.
+premiss is R's conclusion. A comb matched again while its consumer
+stays the same keeps its ready [+] redex.
 
 Why that is enough: the role maps ``concl_of`` and ``premiss_at`` give,
 for each point, the id of the element that concludes it and of the one
@@ -305,10 +306,12 @@ def _match_par(aps, p):
     return Redex(p.tag, p.mode, p.pid, at, (i, len(pattern)))
 
 
-def _match(aps: APS, eid: int):
+def _match(aps: APS, eid: int, ready=None):
     """What element ``eid`` (comb, cross link or par link) gives in the
     current state: the redex it offers, else the reason it is stuck; a
-    comb that only waits for the element below it gives None."""
+    comb that only waits for the element below it gives None. ``ready``
+    is the redex ``eid`` offered before; a comb whose consumer is the
+    same gives it back rather than an equal new one."""
     comb = aps.combs.get(eid)
     if comb is None:
         if eid in aps.crosses:
@@ -318,6 +321,8 @@ def _match(aps: APS, eid: int):
     if consumer == eid:
         return "comb feeds itself (cyclic linking)"
     if consumer in aps.combs:
+        if ready is not None and ready.comb == consumer:
+            return ready
         return Redex("+", None, eid, consumer)
     return None
 
@@ -396,47 +401,20 @@ def _moved(aps: APS, redex: Redex):
     return ()
 
 
-def _neighbours(aps: APS, cid: int, moved) -> set:
-    """The elements whose match may change when comb ``cid`` changed and
-    the points ``moved`` came into its row: the comb itself, the par
-    links concluding a point in its row, the combs and par links
-    concluding a moved point, and the element taking its conclusion as
-    premiss."""
-    comb = aps.combs[cid]
-    out = {cid}
-    for it in comb.row:
-        if type(it) is int and aps.concl_of.get(it) in aps.pars:
-            out.add(aps.concl_of[it])
-    for q in moved:
-        if type(q) is int:
-            role = aps.concl_of.get(q)
-            if role is not None and role not in aps.crosses:
-                out.add(role)
-    consumer = aps.premiss_at.get(comb.concl)
-    if consumer is not None:
-        out.add(consumer)
-    return out
-
-
 def contract(aps: APS, select=None) -> ContractionTrace:
     """Contract to normal form. ``select`` picks among the available
     redexes, structural ones by element id, then par ones by id
     (default: the first one); confluence makes the choice irrelevant
     for the outcome."""
     initial = aps.element_count()
+    combs, crosses, pars = aps.combs, aps.crosses, aps.pars
+    concl_of, premiss_at = aps.concl_of, aps.premiss_at
     structural, logical = {}, {}  # element id -> its ready redex
-
-    def rematch(eids):
-        for eid in eids:
-            table = logical if eid in aps.pars else structural
-            redex = _match(aps, eid)
-            if type(redex) is Redex:
-                table[eid] = redex
-            else:
-                table.pop(eid, None)
-        return len(eids)
-
-    searched = max_touched = rematch([*aps.combs, *aps.crosses, *aps.pars])
+    for eid in [*combs, *crosses, *pars]:
+        redex = _match(aps, eid)
+        if type(redex) is Redex:
+            (logical if eid in pars else structural)[eid] = redex
+    searched = max_touched = initial
     steps = []
     while structural or logical:
         if select is not None:
@@ -454,9 +432,32 @@ def contract(aps: APS, select=None) -> ContractionTrace:
         for eid in step.consumed:
             structural.pop(eid, None)
             logical.pop(eid, None)
-        touched = rematch(_neighbours(aps, step.result, moved))
-        searched += touched
-        max_touched = max(max_touched, touched)
+        # match again what the step can have changed: the result comb,
+        # the par links concluding a point in its row, the combs and par
+        # links concluding a moved point, and the element taking its
+        # conclusion as premiss
+        comb = combs[step.result]
+        touched = {comb.cid}
+        for it in comb.row:
+            if type(it) is int and concl_of.get(it) in pars:
+                touched.add(concl_of[it])
+        for q in moved:
+            if type(q) is int:
+                role = concl_of.get(q)
+                if role is not None and role not in crosses:
+                    touched.add(role)
+        consumer = premiss_at.get(comb.concl)
+        if consumer is not None:
+            touched.add(consumer)
+        for eid in touched:
+            table = logical if eid in pars else structural
+            redex = _match(aps, eid, table.get(eid))
+            if type(redex) is Redex:
+                table[eid] = redex
+            else:
+                table.pop(eid, None)
+        searched += len(touched)
+        max_touched = max(max_touched, len(touched))
     stuck = [] if aps.is_single_comb() else diagnose(aps)
     return ContractionTrace(steps, stuck, initial, max_touched, searched)
 

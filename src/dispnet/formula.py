@@ -344,7 +344,7 @@ def _tokenize(text: str):
                 j += 1
             else:
                 k = j
-                while k < n and text[k].isdigit():
+                while k < n and text[k].isdecimal():
                     k += 1
                 if k == j:
                     raise FormulaError(f"connective {c!r} needs a mode in {text!r}")

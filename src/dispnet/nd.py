@@ -2,15 +2,17 @@
 
 Proofs are trees of rule applications over hypothesis leaves; every
 node carries the string term and formula it concludes, so a proof can
-be replayed and audited rule by rule. ``apply_rule`` builds every node
-in one of three shapes: a join (\\E, /E, ^E, !E, *I, oI) concatenates or
-wraps its premisses' terms; a strip (\\I, /I, !I) cuts the withdrawn
-hypothesis's term off both ends of the body's; a replace (^I, *E, oE)
-puts one item where the withdrawn material sits inside the body. It
-refuses a node whose geometry is off with an NDError naming the rule.
-``check_nd`` re-derives every node and reports violations, each under
-its node's path, instead of raising, so foreign proof files can be
-audited.
+be replayed and audited rule by rule. ``derive`` works out what a rule
+concludes from its premisses in one of three shapes: a join (\\E, /E,
+^E, !E, *I, oI) concatenates or wraps its premisses' terms; a strip
+(\\I, /I, !I) cuts the withdrawn hypothesis's term off both ends of the
+body's; a replace (^I, *E, oE) puts one item where the withdrawn
+material sits inside the body. It refuses premisses whose geometry is
+off with an NDError naming the rule. ``apply_rule`` builds a node from
+what ``derive`` gives. ``check_nd`` calls ``derive`` on every node and
+compares the result with the node's own term and formula, so it builds
+no node; it reports violations, each under its node's path, instead of
+raising, so foreign proof files can be audited.
 
 Two constructions tie proofs to proof nets:
 
@@ -124,7 +126,7 @@ def _written(spec, arg, result) -> tuple:
     return (result, arg) if spec.result == 0 else (arg, result)
 
 
-def _join(spec, mode, hyps, kids) -> Rule:
+def _join(spec, mode, hyps, kids) -> tuple:
     """\\E, /E, ^E, !E, *I, oI: the conclusion's term joins the two
     premisses' terms. An elimination's major premiss is the one on the
     side where its connective writes the result."""
@@ -142,11 +144,10 @@ def _join(spec, mode, hyps, kids) -> Rule:
                           f"must be {fm.format_formula(want)}, got "
                           f"{fm.format_formula(f)}")
         formula = f.result
-    return Rule(spec.name, (left, right), _glue(left.term, mode, right.term),
-                formula, mode)
+    return _glue(left.term, mode, right.term), formula
 
 
-def _strip(spec, mode, hyps, kids) -> Rule:
+def _strip(spec, mode, hyps, kids) -> tuple:
     """\\I, /I, !I: cut the withdrawn hypothesis's term off both ends of
     the body's: all of it off the start (\\I) or the end (/I), or its
     parts either side of the separator the mode picks (!I). An empty
@@ -161,12 +162,11 @@ def _strip(spec, mode, hyps, kids) -> Rule:
     if end < len(prefix) or items[:len(prefix)] != prefix or items[end:] != suffix:
         form = StringTerm(prefix + ("...",) + suffix)
         raise NDError(f"{spec.name}: conclusion {body.term} is not of the form {form}")
-    return Rule(spec.name, (body,), StringTerm(items[len(prefix):end]),
-                fm.connective(spec.name[0], *_written(spec, h.formula, body.formula),
-                              mode), mode, (h.label,))
+    return (StringTerm(items[len(prefix):end]),
+            fm.connective(spec.name[0], *_written(spec, h.formula, body.formula), mode))
 
 
-def _replace(spec, mode, hyps, kids) -> Rule:
+def _replace(spec, mode, hyps, kids) -> tuple:
     """^I, *E, oE: put one item where the withdrawn material first sits
     in the body. For ^I that is the separator, at the first occurrence
     where the mode picks the separator left in its place. For *E and oE
@@ -190,9 +190,7 @@ def _replace(spec, mode, hyps, kids) -> Rule:
     items, n, seps = body.term.items, len(block), 0
     for i in range(len(items) - n + 1):
         if items[i:i + n] == block and (before is None or seps == before):
-            return Rule(spec.name, tuple(kids),
-                        StringTerm(items[:i] + filler + items[i + n:]), formula,
-                        mode, tuple(h.label for h in hyps))
+            return StringTerm(items[:i] + filler + items[i + n:]), formula
         if i < len(items) and isinstance(items[i], Separator):
             seps += 1
     where = "" if before is None else f" after {before} separator(s)"
@@ -205,8 +203,9 @@ class RuleSpec(NamedTuple):
     sexpr: str         # the rule's name in proof files
     premisses: int
     discharges: int
-    shape: Callable    # _join, _strip or _replace, given the mode, the
-                       # withdrawn hypotheses and the premisses
+    shape: Callable    # _join, _strip or _replace: the conclusion's term
+                       # and formula, given the mode, the withdrawn
+                       # hypotheses and the premisses
     moded: bool
     result: int        # where the connective writes its result among its
                        # operands, 0 or 1; -1 for * and o, which have none
@@ -237,16 +236,16 @@ RULES = {name: _spec(name, *rest) for name, *rest in (
 )}
 
 
-def apply_rule(name, mode, labels, kids, opened=None) -> Rule:
-    """Build the node of rule ``name`` through its shape. ``opened``
-    maps labels to hypothesis leaves, at least the open ones of the
-    body, the last premiss, as ``open_hyps`` gives them, or is the
-    message of the NDError it raises; by default it is read off the
-    body. Raises NDError for an unknown rule, a wrong number of
-    premisses or labels, a mode missing from ^, ! or o or given to
-    another rule, a body whose hypotheses clash or lack a label,
-    premisses the rule does not fit, or a term that lacks the separator
-    it needs."""
+def derive(name, mode, labels, kids, opened=None) -> tuple:
+    """The term and formula that rule ``name`` concludes from ``kids``,
+    worked out by its shape. ``opened`` maps labels to hypothesis
+    leaves, at least the open ones of the body, the last premiss, as
+    ``open_hyps`` gives them, or is the message of the NDError it
+    raises; by default it is read off the body. Raises NDError for an
+    unknown rule, a wrong number of premisses or labels, a mode missing
+    from ^, ! or o or given to another rule, a body whose hypotheses
+    clash or lack a label, premisses the rule does not fit, or a term
+    that lacks the separator it needs."""
     spec = RULES.get(name)
     if spec is None:
         raise NDError(f"unknown rule {name}")
@@ -268,6 +267,13 @@ def apply_rule(name, mode, labels, kids, opened=None) -> Rule:
         return spec.shape(spec, mode, hyps, kids)
     except TermError as exc:
         raise NDError(f"{name}: {exc}") from exc
+
+
+def apply_rule(name, mode, labels, kids, opened=None) -> Rule:
+    """The node of rule ``name`` over ``kids``, concluding what
+    ``derive`` works out; raises its NDError."""
+    return Rule(name, tuple(kids), *derive(name, mode, labels, kids, opened), mode,
+                tuple(labels))
 
 
 def _merged(opened, discharges):
@@ -297,11 +303,12 @@ def check_nd(p, sig) -> list:
     """Audit a proof; returns a list of violations (empty when it
     checks out). An open hypothesis may not share its label with a
     discharged one; a discharge label may be reused in another scope.
-    One walk re-derives every node and carries the open hypotheses of
-    each subtree up to its parent, which gives the body's to its rule."""
+    One walk re-derives every node's term and formula, builds no node,
+    and carries the open hypotheses of each subtree up to its parent,
+    which gives the body's to its rule."""
     violations = []
     discharged = set()
-    opened = _audit(p, "root", sig, violations, discharged)
+    opened = _audit(p, None, sig, violations, discharged)
     if isinstance(opened, str):
         violations.insert(0, opened)
         opened = {}
@@ -311,36 +318,48 @@ def check_nd(p, sig) -> list:
             for label in opened if label in discharged] + violations
 
 
-def _audit(node, path, sig, violations, discharged):
-    """Re-derive the subproof ``node`` at ``path``: add its violations to
-    ``violations`` and its discharge labels to ``discharged``, and return
-    its open hypotheses as ``_merged`` gives them."""
+def _path(at) -> str:
+    """A node's path, such as ``root.1.0``, from the ``(parent, child
+    index)`` pairs ``_audit`` carries; the root's is None."""
+    steps = []
+    while at is not None:
+        at, i = at
+        steps.append(str(i))
+    return ".".join(["root", *reversed(steps)])
+
+
+def _audit(node, at, sig, violations, discharged):
+    """Re-derive the subproof ``node`` at path ``at``: add its
+    violations to ``violations`` and its discharge labels to
+    ``discharged``, and return its open hypotheses as ``_merged`` gives
+    them. The path is rendered only for a violation."""
     if isinstance(node, Hyp):
         bad = fm.well_sorted(node.formula, sig)
         if bad:
-            violations.append(f"{path}: {'; '.join(bad)}")
+            violations.append(f"{_path(at)}: {'; '.join(bad)}")
         else:
             want = sig.sort_of(node.formula)
             if node.term.sort != want:
                 violations.append(
-                    f"{path}: hypothesis term {node.term} has sort "
+                    f"{_path(at)}: hypothesis term {node.term} has sort "
                     f"{node.term.sort}, formula needs {want}"
                 )
         return {node.label: node}
     discharged.update(node.discharges)
     opened = []
     for i, child in enumerate(node.children):
-        opened.append(_audit(child, f"{path}.{i}", sig, violations, discharged))
+        opened.append(_audit(child, (at, i), sig, violations, discharged))
     try:
-        redone = apply_rule(node.name, node.mode, node.discharges,
-                            node.children, opened[-1] if opened else None)
+        term, formula = derive(node.name, node.mode, node.discharges,
+                               node.children, opened[-1] if opened else None)
     except NDError as exc:
-        violations.append(f"{path}: {exc}")
+        violations.append(f"{_path(at)}: {exc}")
     else:
-        if redone.term != node.term or redone.formula != node.formula:
+        if term.items != node.term.items or (
+                formula is not node.formula and formula != node.formula):
             violations.append(
-                f"{path}: rule {node.name} concludes {redone.term} : "
-                f"{fm.format_formula(redone.formula)}, node claims "
+                f"{_path(at)}: rule {node.name} concludes {term} : "
+                f"{fm.format_formula(formula)}, node claims "
                 f"{node.term} : {fm.format_formula(node.formula)}"
             )
     return _merged(opened, node.discharges)
@@ -356,29 +375,33 @@ def net_of_nd(p, sig):
     if bad:
         raise NDError("; ".join(bad))
 
-    formulas = []
-    links = []
-    hyp_vertex = {}
-    goal = _net_links(p, formulas, links, hyp_vertex)
-    leaves = open_leaves_in_order(p)
-    hyp_ids = [hyp_vertex[h.label] for h in leaves]
-    ps = ProofStructure(ProofFrame(formulas, links, hyp_ids, goal))
-    terms = {hyp_vertex[h.label]: h.term for h in leaves}
+    formulas, links, hyp_vertex, leaves, discharged = [], [], {}, [], set()
+    goal = _net_links(p, formulas, links, hyp_vertex, leaves, discharged)
+    # the open hypotheses in leaf order: the check has passed, so no
+    # open label is a discharged one
+    terms = {hyp_vertex[h.label]: h.term for h in leaves
+             if h.label not in discharged}
+    ps = ProofStructure(ProofFrame(formulas, links, list(terms), goal))
     aps = to_aps(ps, terms, sig)
     trace = contract(aps.clone())
     return ps, terms, aps, trace
 
 
-def _net_links(node, formulas, links, hyp_vertex):
+def _net_links(node, formulas, links, hyp_vertex, leaves, discharged):
     """Add the vertices and links of the subproof ``node`` to
-    ``formulas`` and ``links``, and each hypothesis leaf's vertex to
-    ``hyp_vertex`` by label; returns the vertex of its conclusion."""
+    ``formulas`` and ``links``, each hypothesis leaf's vertex to
+    ``hyp_vertex`` by label, the leaves to ``leaves`` in order and the
+    discharge labels to ``discharged``; returns the vertex of its
+    conclusion."""
     if isinstance(node, Hyp):
         vid = hyp_vertex[node.label] = len(formulas)
         formulas.append(node.formula)
+        leaves.append(node)
         return vid
-    kids = [_net_links(c, formulas, links, hyp_vertex) for c in node.children]
+    kids = [_net_links(c, formulas, links, hyp_vertex, leaves, discharged)
+            for c in node.children]
     withdrawn = [hyp_vertex[label] for label in node.discharges]
+    discharged.update(node.discharges)
     op, kind = node.name
     r = RULES[node.name].result
     if r < 0:

@@ -91,7 +91,7 @@ def parse_mode(text: str) -> Mode:
         return FIRST
     if text == "<":
         return LAST
-    if text.isdigit():
+    if text.isdecimal():
         return at(int(text))
     raise TermError(f"bad wrap mode {text!r}")
 

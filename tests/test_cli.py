@@ -295,6 +295,23 @@ def test_prove_goal_sort_mismatch_is_input_error(sig_file, capsys):
     assert err == "error: goal x+1+y has sort 1, formula s needs 0\n"
 
 
+# "²" is a digit to str.isdigit, but int() refuses it, so it is no mode
+@pytest.mark.parametrize("command, text, message", [
+    ("prove", "np, s^²np |- s", "connective '^' needs a mode in 's^²np'"),
+    ("check", 'np 0\ns 0\n(up_e ² (hyp 0 "a+1+b" "s^>np") (hyp 1 "c" "np"))\n',
+     "bad wrap mode '²'"),
+], ids=["prove", "check"])
+def test_mode_with_a_digit_that_is_not_decimal_is_input_error(
+        command, text, message, sig_file, tmp_path, capsys):
+    if command == "prove":
+        argv = ["prove", sig_file, text]
+    else:
+        path = tmp_path / "mode.nd"
+        path.write_text(text)
+        argv = ["check", str(path)]
+    assert run(argv, capsys) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("sequent", [
     "x0:np\\s, np |- s",
     "x:np, np\\s |- x+x0:s",

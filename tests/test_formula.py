@@ -112,6 +112,13 @@ def test_parse_modes():
         parse_formula("s^np")
 
 
+def test_mode_with_a_digit_that_is_not_decimal_is_a_formula_error():
+    # "²" is a digit to str.isdigit, but int() refuses it
+    with pytest.raises(FormulaError) as exc:
+        parse_formula("s^²np")
+    assert str(exc.value) == "connective '^' needs a mode in 's^²np'"
+
+
 def test_print_examples():
     assert format_formula(parse_formula("(np\\s)^>np")) == "(np\\s)^>np"
     assert format_formula(parse_formula("a\\b\\c")) == "a\\b\\c"

@@ -17,6 +17,7 @@ from dispnet.nd import (
     apply_rule,
     canonical_proof,
     check_nd,
+    derive,
     extract_nd,
     latex_nd,
     nd_from_sexpr,
@@ -141,6 +142,29 @@ def test_check_nd_reads_each_subtree_once(monkeypatch):
         sys.setrecursionlimit(limit)
 
 
+# Proofs with one fault below the root, and check_nd's exact report:
+# a hypothesis of the wrong sort, a node built directly with a wrong
+# term, and label 3 twice in the body of the /I at root.1, which
+# withdraws q.
+_MARY, _W, _A = _h(0, "mary", "np"), _h(2, "w", "np\\(np\\s)"), _h(3, "a", "np")
+_TWICE = _r("*I", None, (), _r("*I", None, (), _A, _A), _h(4, "q", "s"))  # a+a+q
+NESTED = [
+    (_r("\\E", None, (), _MARY, _r("\\E", None, (), _h(1, "x+1", "np"), _W)),
+     ["root.1.0: hypothesis term x+1 has sort 1, formula needs 0"]),
+    (_r("\\E", None, (), _MARY,
+        Rule("\\E", (_h(1, "x", "np"), _W), T("w+x"), F("np\\s"))),
+     ["root.1: rule \\E concludes x+w : np\\s, node claims w+x : np\\s"]),
+    (Rule("*I", (_MARY, Rule("/I", (_TWICE,), T("a+a"), F("((np*np)*s)/s"), None, (4,))),
+          T("mary+a+a"), F("np*(((np*np)*s)/s)")),
+     ["hypothesis label 3 used twice", "root.1: hypothesis label 3 used twice"]),
+]
+
+
+@pytest.mark.parametrize("proof, violations", NESTED, ids=["sort", "term", "twice"])
+def test_check_nd_reports_nested_paths(proof, violations):
+    assert check_nd(proof, SIG) == violations
+
+
 def test_discharge_label_reused_in_another_scope_checks():
     # label 1 is discharged twice, in two separate /I scopes, and never open
     left = _r("/I", None, (1,), _r("*I", None, (), _h(0, "a", "np"), _h(1, "q", "s")))
@@ -207,6 +231,16 @@ def test_factories_reject_bad_arithmetic():
         assert f"root: {exc.value}" in check_nd(node, SIG)
     body = _r("\\E", None, (), _h(0, "a", "np"), _h(1, "b", "np\\s"))
     assert _r("\\I", None, (0,), body).formula == F("np\\s")
+
+
+def test_derive_concludes_what_each_corpus_node_claims(proof_corpus):
+    rules = 0
+    for proof, *_ in proof_corpus:
+        for n in walk(proof):
+            if isinstance(n, Rule):
+                assert derive(n.name, n.mode, n.discharges, n.children) == (n.term, n.formula)
+                rules += 1
+    assert rules > len(proof_corpus)
 
 
 # Nodes built directly, whose term ``a`` lacks the separator their rule

@@ -68,6 +68,13 @@ def test_mode_validation():
     assert parse_mode("3") == at(3)
 
 
+def test_mode_with_a_digit_that_is_not_decimal_is_a_term_error():
+    # "²" is a digit to str.isdigit, but int() refuses it
+    with pytest.raises(TermError) as exc:
+        parse_mode("²")
+    assert str(exc.value) == "bad wrap mode '²'"
+
+
 words = st.sampled_from(["a", "b", "c", "w", "p0"])
 items = st.one_of(words, st.just(SEP))
 terms = st.builds(lambda xs: StringTerm(tuple(xs)), st.lists(items, max_size=8))
