@@ -97,7 +97,7 @@ def contraction_verdicts():
 
     work = workloads.RoundtripCorpus(SEED)
     for item in work.items:
-        leaves = nd.open_leaves_in_order(item.proof)
+        leaves = nd.open_hyps(item.proof).values()
         frame = pstruct.unfold([h.formula for h in leaves], item.proof.formula,
                                work.sig)
         if pstruct.linking_count(frame) > 300:

@@ -382,7 +382,7 @@ def cmd_check(args) -> int:
         return 1
     print(
         f"ok: {proof.term} : {fm.format_formula(proof.formula)} "
-        f"from {len(nd.open_leaves_in_order(proof))} hypothesis(es)"
+        f"from {len(nd.open_hyps(proof))} hypothesis(es)"
     )
     return 0
 

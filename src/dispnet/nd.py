@@ -3,16 +3,18 @@
 Proofs are trees of rule applications over hypothesis leaves; every
 node carries the string term and formula it concludes, so a proof can
 be replayed and audited rule by rule. ``derive`` works out what a rule
-concludes from its premisses in one of three shapes: a join (\\E, /E,
-^E, !E, *I, oI) concatenates or wraps its premisses' terms; a strip
-(\\I, /I, !I) cuts the withdrawn hypothesis's term off both ends of the
-body's; a replace (^I, *E, oE) puts one item where the withdrawn
-material sits inside the body. It refuses premisses whose geometry is
-off with an NDError naming the rule. ``apply_rule`` builds a node from
-what ``derive`` gives. ``check_nd`` calls ``derive`` on every node and
-compares the result with the node's own term and formula, so it builds
-no node; it reports violations, each under its node's path, instead of
-raising, so foreign proof files can be audited.
+concludes from its premisses by the rule's shape (``_join``, ``_strip``
+or ``_replace``), or refuses premisses whose geometry is off with an
+NDError naming the rule; ``apply_rule`` builds a node from what it
+gives. ``check_nd`` calls ``derive`` on every node and compares the
+result with the node's own term and formula, so it builds no node; it
+reports violations, each under its node's path, instead of raising, so
+foreign proof files can be audited.
+
+A hypothesis leaf is open unless a rule whose body contains it
+withdraws its label; open leaves are listed in leaf order. Every walk
+merges its subtrees' open leaves, maps by label, in ``_merged`` and
+lists the root's with ``_in_leaf_order``.
 
 Two constructions tie proofs to proof nets:
 
@@ -24,12 +26,8 @@ Two constructions tie proofs to proof nets:
 
 * ``extract_nd`` goes the other way: given a verdict that a structure
   is a net, it reads a natural deduction proof off the structure and
-  the verdict's contraction trace, which is a sequentialization. Every
-  tensor link and every implication par link is the one rule that
-  concludes its conclusion (or main) vertex; each product-style par
-  link becomes an elimination wrapped around the proof of the vertex
-  its comb concluded when the trace fired it. Nothing is contracted
-  again.
+  the verdict's contraction trace, a sequentialization, without
+  contracting again.
 
 ``LambekOracle`` is an independent cut-free sequent prover for the
 /, \\, * fragment over sort-0 atoms, used to cross-check derivability.
@@ -87,29 +85,42 @@ class Rule:
 
 
 Proof = "Hyp | Rule"
+_TWICE = "hypothesis label {} used twice"  # the message of a label clash
 
 
 def open_hyps(p) -> dict:
-    """Undischarged hypothesis leaves of a proof, keyed by label."""
-    if isinstance(p, Hyp):
-        return {p.label: p}
-    merged = {}
-    for child in p.children:
-        for label, leaf in open_hyps(child).items():
-            if label in merged:
-                raise NDError(f"hypothesis label {label} used twice")
-            merged[label] = leaf
-    for label in p.discharges:
-        if label not in merged:
-            raise NDError(f"discharge of absent hypothesis {label}")
-        del merged[label]
-    return merged
+    """The open hypothesis leaves of a proof, by label in leaf order;
+    raises the error ``_merged`` reports as an NDError. One walk, with no
+    recursion, carries each subtree's map up to its parent."""
+    leaves, maps, todo = {}, [], [p]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Hyp):
+            maps.append(_leaf_map(node, leaves))
+        elif isinstance(node, Rule):
+            todo.append((len(maps), node.discharges))
+            todo.extend(reversed(node.children))
+        else:  # the premisses of a rule are done: merge their maps
+            first, discharges = node
+            maps[first:] = [_merged(maps[first:], discharges)]
+    if type(maps[0]) is str:
+        raise NDError(maps[0])
+    return _in_leaf_order(leaves.values(), maps[0])
 
 
-def open_leaves_in_order(p) -> list:
-    """Open hypothesis leaves, left to right. ``open_hyps`` merges the
-    children in order, so its keys are in leaf order."""
-    return list(open_hyps(p).values())
+def _leaf_map(leaf, leaves) -> dict:
+    """The open map of a walk's next ``leaf``, kept in ``leaves`` by id;
+    a leaf object met again gets an equal copy, so each stands apart."""
+    if id(leaf) in leaves:
+        leaf = Hyp(leaf.label, leaf.term, leaf.formula)
+    leaves[id(leaf)] = leaf.label, leaf
+    return {leaf.label: leaf}
+
+
+def _in_leaf_order(leaves, opened) -> dict:
+    """The root's open hypotheses ``opened`` in leaf order: of a walk's
+    ``(label, entry)`` leaf pairs, those whose own entry the map holds."""
+    return {label: got for label, got in leaves if opened.get(label) is got}
 
 
 # -- the rules -------------------------------------------------------------
@@ -240,8 +251,8 @@ def derive(name, mode, labels, kids, opened=None) -> tuple:
     """The term and formula that rule ``name`` concludes from ``kids``,
     worked out by its shape. ``opened`` maps labels to hypothesis
     leaves, at least the open ones of the body, the last premiss, as
-    ``open_hyps`` gives them, or is the message of the NDError it
-    raises; by default it is read off the body. Raises NDError for an
+    ``_merged`` gives them, or is the message of its NDError; by default
+    ``open_hyps`` reads it off the body. Raises NDError for an
     unknown rule, a wrong number of premisses or labels, a mode missing
     from ^, ! or o or given to another rule, a body whose hypotheses
     clash or lack a label, premisses the rule does not fit, or a term
@@ -277,11 +288,10 @@ def apply_rule(name, mode, labels, kids, opened=None) -> Rule:
 
 
 def _merged(opened, discharges):
-    """What ``open_hyps`` gives a node whose children's open hypotheses
-    are ``opened``, each a map by label or the message of the NDError
-    ``open_hyps`` raises on that child; the message of the error it
-    raises instead. Each map is merged into the largest so far, so the
-    maps lose the leaf order, and the children's maps are used up."""
+    """The open hypotheses of a node that withdraws ``discharges``,
+    merged from its children's ``opened``; each is a map by label or the
+    message of an NDError. Each map is merged into the largest so far,
+    so the maps lose the leaf order, and the children's are used up."""
     merged = {}
     for got in opened:
         if type(got) is str:
@@ -289,8 +299,7 @@ def _merged(opened, discharges):
         small, large = (got, merged) if len(got) <= len(merged) else (merged, got)
         for label in small:
             if label in large:
-                clash = next(label for label in got if label in merged)
-                return f"hypothesis label {clash} used twice"
+                return _TWICE.format(next(l for l in got if l in merged))
         large.update(small)
         merged = large
     for label in discharges:
@@ -304,18 +313,16 @@ def check_nd(p, sig) -> list:
     checks out). An open hypothesis may not share its label with a
     discharged one; a discharge label may be reused in another scope.
     One walk re-derives every node's term and formula, builds no node,
-    and carries the open hypotheses of each subtree up to its parent,
-    which gives the body's to its rule."""
-    violations = []
-    discharged = set()
-    opened = _audit(p, None, sig, violations, discharged)
+    merges the open hypotheses of each subtree for its parent, which
+    gives the body's to its rule, and lists the leaves in order."""
+    violations, discharged, leaves = [], set(), {}
+    opened = _audit(p, None, sig, violations, discharged, leaves)
     if isinstance(opened, str):
-        violations.insert(0, opened)
-        opened = {}
-    elif opened.keys() & discharged:
-        opened = open_hyps(p)  # the labels in leaf order
-    return [f"hypothesis label {label} used twice"
-            for label in opened if label in discharged] + violations
+        return [opened] + violations
+    if opened.keys() & discharged:
+        violations[:0] = [_TWICE.format(label) for label in _in_leaf_order(
+            leaves.values(), opened) if label in discharged]
+    return violations
 
 
 def _path(at) -> str:
@@ -328,27 +335,24 @@ def _path(at) -> str:
     return ".".join(["root", *reversed(steps)])
 
 
-def _audit(node, at, sig, violations, discharged):
-    """Re-derive the subproof ``node`` at path ``at``: add its
-    violations to ``violations`` and its discharge labels to
-    ``discharged``, and return its open hypotheses as ``_merged`` gives
+def _audit(node, at, sig, violations, discharged, leaves):
+    """Re-derive the subproof ``node`` at path ``at``: add its violations,
+    discharge labels and leaves (by ``_leaf_map``) to the three
+    collections, and return its open hypotheses as ``_merged`` gives
     them. The path is rendered only for a violation."""
     if isinstance(node, Hyp):
+        got = _leaf_map(node, leaves)
         bad = fm.well_sorted(node.formula, sig)
+        if not bad and node.term.sort != (want := sig.sort_of(node.formula)):
+            bad = [f"hypothesis term {node.term} has sort {node.term.sort}, "
+                   f"formula needs {want}"]
         if bad:
             violations.append(f"{_path(at)}: {'; '.join(bad)}")
-        else:
-            want = sig.sort_of(node.formula)
-            if node.term.sort != want:
-                violations.append(
-                    f"{_path(at)}: hypothesis term {node.term} has sort "
-                    f"{node.term.sort}, formula needs {want}"
-                )
-        return {node.label: node}
+        return got
     discharged.update(node.discharges)
     opened = []
     for i, child in enumerate(node.children):
-        opened.append(_audit(child, (at, i), sig, violations, discharged))
+        opened.append(_audit(child, (at, i), sig, violations, discharged, leaves))
     try:
         term, formula = derive(node.name, node.mode, node.discharges,
                                node.children, opened[-1] if opened else None)
@@ -360,8 +364,7 @@ def _audit(node, at, sig, violations, discharged):
             violations.append(
                 f"{_path(at)}: rule {node.name} concludes {term} : "
                 f"{fm.format_formula(formula)}, node claims "
-                f"{node.term} : {fm.format_formula(node.formula)}"
-            )
+                f"{node.term} : {fm.format_formula(node.formula)}")
     return _merged(opened, node.discharges)
 
 
@@ -371,37 +374,33 @@ def _audit(node, at, sig, violations, discharged):
 def net_of_nd(p, sig):
     """Build the proof structure of a checked proof, its abstract proof
     structure, and a contraction trace witnessing that it is a net."""
-    bad = check_nd(p, sig)
-    if bad:
+    if bad := check_nd(p, sig):
         raise NDError("; ".join(bad))
-
-    formulas, links, hyp_vertex, leaves, discharged = [], [], {}, [], set()
-    goal = _net_links(p, formulas, links, hyp_vertex, leaves, discharged)
-    # the open hypotheses in leaf order: the check has passed, so no
-    # open label is a discharged one
-    terms = {hyp_vertex[h.label]: h.term for h in leaves
-             if h.label not in discharged}
+    formulas, links, leaves = [], [], []
+    goal, opened = _net_links(p, formulas, links, leaves)
+    terms = dict(_in_leaf_order(leaves, opened).values())
     ps = ProofStructure(ProofFrame(formulas, links, list(terms), goal))
     aps = to_aps(ps, terms, sig)
-    trace = contract(aps.clone())
-    return ps, terms, aps, trace
+    return ps, terms, aps, contract(aps.clone())
 
 
-def _net_links(node, formulas, links, hyp_vertex, leaves, discharged):
+def _net_links(node, formulas, links, leaves):
     """Add the vertices and links of the subproof ``node`` to
-    ``formulas`` and ``links``, each hypothesis leaf's vertex to
-    ``hyp_vertex`` by label, the leaves to ``leaves`` in order and the
-    discharge labels to ``discharged``; returns the vertex of its
-    conclusion."""
+    ``formulas`` and ``links`` and its leaves to ``leaves``; returns the
+    vertex of its conclusion and its open hypotheses by label, each as
+    its vertex and term. A rule withdraws its labels from its body's
+    map, the scope they bind in."""
     if isinstance(node, Hyp):
-        vid = hyp_vertex[node.label] = len(formulas)
+        leaf = len(formulas), node.term
         formulas.append(node.formula)
-        leaves.append(node)
-        return vid
-    kids = [_net_links(c, formulas, links, hyp_vertex, leaves, discharged)
-            for c in node.children]
-    withdrawn = [hyp_vertex[label] for label in node.discharges]
-    discharged.update(node.discharges)
+        leaves.append((node.label, leaf))
+        return leaf[0], {node.label: leaf}
+    kids, opened = [], []
+    for child in node.children:
+        vid, got = _net_links(child, formulas, links, leaves)
+        kids.append(vid)
+        opened.append(got)
+    withdrawn = [opened[-1][label][0] for label in node.discharges]
     op, kind = node.name
     r = RULES[node.name].result
     if r < 0:
@@ -427,7 +426,7 @@ def _net_links(node, formulas, links, hyp_vertex, leaves, discharged):
             parts[r] = out
     tag = ("L" if kind == "E" else "R") + op
     links.append(make_link(tag, top, *parts, node.mode))
-    return out
+    return out, _merged(opened, node.discharges)
 
 
 # -- proof net -> proof ----------------------------------------------------

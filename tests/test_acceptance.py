@@ -30,7 +30,7 @@ from dispnet.nd import (
     LambekOracle,
     check_nd,
     extract_nd,
-    open_leaves_in_order,
+    open_hyps,
 )
 from dispnet.contraction import contract, is_proof_net
 from dispnet.proofstructure import (
@@ -255,7 +255,7 @@ def test_criterion_6_round_trip(proof_corpus):
         bad = check_nd(q, CORPUS_SIG)
         assert not bad, f"corpus {i}: {bad}"
         assert q.term == p.term and q.formula == p.formula
-        got = {h.label: (h.term, h.formula) for h in open_leaves_in_order(q)}
+        got = {h.label: (h.term, h.formula) for h in open_hyps(q).values()}
         want = {v: (terms[v], ps.frame.formulas[v]) for v in ps.frame.hypotheses}
         assert got == want, f"corpus {i}: sequent hypotheses differ"
     report(6, f"{len(proof_corpus)} proofs: net contracts to the conclusion "

@@ -592,6 +592,17 @@ def test_check_accepts_a_discharge_label_reused_in_another_scope(tmp_path, capsy
     assert "from 2 hypothesis(es)" in out
 
 
+def test_check_counts_the_open_hypotheses_of_nested_scopes(tmp_path, capsys):
+    # under_i withdraws q, labelled 1, and its body's over_i withdraws r,
+    # also labelled 1: only x stays open
+    path = tmp_path / "nested.nd"
+    path.write_text('np 0\ns 0\n(under_i 1 (prod_i (hyp 1 "q" "s") (over_i 1 '
+                    '(prod_i (hyp 0 "x" "np") (hyp 1 "r" "s")))))\n')
+    code, out, err = run(["check", str(path)], capsys)
+    assert (code, out, err) == (
+        0, "ok: x : s\\(s*((np*s)/s)) from 1 hypothesis(es)\n", "")
+
+
 def test_check_rejects_bad_proof(tmp_path, capsys):
     path = tmp_path / "bad.nd"
     path.write_text(

@@ -11,7 +11,7 @@ from dispnet.contraction import (
     is_proof_net,
 )
 from dispnet.formula import Atom, Signature, parse_formula
-from dispnet.nd import open_leaves_in_order
+from dispnet.nd import open_hyps
 from dispnet.proofstructure import enumerate_linkings, linking_count, unfold
 from dispnet.terms import parse_term
 
@@ -273,7 +273,7 @@ def corpus_linkings(proof_corpus, limit=300):
     proof's sequent that has at most ``limit`` linkings, stuck ones and
     those the search skips included."""
     for proof, *_ in proof_corpus:
-        leaves = open_leaves_in_order(proof)
+        leaves = open_hyps(proof).values()
         frame = unfold([h.formula for h in leaves], proof.formula, CORPUS_SIG)
         if linking_count(frame) > limit:
             continue
@@ -346,7 +346,7 @@ def test_role_maps_hold_after_every_step(proof_corpus):
     structures = steps = 0
     for proof, _ps, _terms, net, _trace in proof_corpus:
         candidates = [net.clone()]
-        leaves = open_leaves_in_order(proof)
+        leaves = open_hyps(proof).values()
         frame = unfold([h.formula for h in leaves], proof.formula, CORPUS_SIG)
         if linking_count(frame) <= 300:
             terms = {v: h.term for v, h in zip(frame.hypotheses, leaves)}

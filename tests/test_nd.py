@@ -24,7 +24,6 @@ from dispnet.nd import (
     nd_to_sexpr,
     net_of_nd,
     open_hyps,
-    open_leaves_in_order,
     random_nd_proof,
 )
 from dispnet.proofstructure import linking_count, sequent_mismatches, unfold
@@ -62,7 +61,7 @@ def test_ring_up_proof_checks():
     assert check_nd(p, SIG) == []
     assert str(p.term) == "mary+rang+everyone+up"
     assert p.formula == Atom("s")
-    assert [h.label for h in open_leaves_in_order(p)] == [0, 1, 2]
+    assert [h.label for h in open_hyps(p).values()] == [0, 1, 2]
 
 
 def test_axiom_checks():
@@ -99,13 +98,30 @@ def test_label_of_a_discharged_hypothesis_used_again_detected():
     assert check_nd(p, SIG) == ["hypothesis label 1 used twice"]
     with pytest.raises(NDError, match="hypothesis label 1 used twice"):
         net_of_nd(p, SIG)
+    # the same objects q and u, each withdrawn in one place and open in
+    # another: every occurrence sits where it is open, not where the
+    # object first occurs
+    p = _r("*I", None, (), apply_rule("/I", None, (1,), [body]),
+           _r("*I", None, (), _h(2, "b", "np"), q))
+    assert list(open_hyps(p)) == [0, 2, 1]
+    u = _h(3, "u", "s")
+    left = _r("*I", None, (), apply_rule("/I", None, (1,), [body]), u)
+    right = _r("*I", None, (), _r("/I", None, (3,), _r("*I", None, (), q, u)),
+               _h(2, "b", "np"))
+    p = _r("*I", None, (), left, right)
+    assert list(open_hyps(p)) == [0, 3, 1, 2]
+    assert check_nd(p, SIG) == ["hypothesis label 3 used twice",
+                                "hypothesis label 1 used twice"]
 
 
 def test_check_nd_reads_each_subtree_once(monkeypatch):
     # a chain of n /I over *I nodes, each /I withdrawing the s its *I
     # joined on: checking it, reading it from its s-expression and
     # extracting it from its net carry the open hypotheses up the one
-    # walk, and read them off no body again
+    # walk, and read them off no body again. Every walk over the open
+    # hypotheses merges them in ``_merged`` once per rule node, so the
+    # merges count the nodes visited: 2n for one walk, about n * n if a
+    # rule's body were walked again
     n = 400
     s = F("s")
     p = Hyp(0, T("a"), F("np"))
@@ -114,21 +130,21 @@ def test_check_nd_reads_each_subtree_once(monkeypatch):
         body = Rule("*I", (p, q), T(f"a+q{label}"), fm.Prod(p.formula, s))
         p = Rule("/I", (body,), T("a"), fm.Over(body.formula, s), None, (label,))
     calls = 0
-    walk = nd.open_hyps
+    merge = nd._merged
 
-    def counted(node):
+    def counted(opened, discharges):
         nonlocal calls
         calls += 1
-        return walk(node)
+        return merge(opened, discharges)
 
-    # room for the recursive walks, whose frames the wrapper doubles
+    # room for the recursive walks
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + 4 * n)
     try:
         text = nd_to_sexpr(p)
         ps, terms, _, _ = net_of_nd(p, SIG)
         verdict = is_proof_net(ps, terms, SIG)
-        monkeypatch.setattr(nd, "open_hyps", counted)
+        monkeypatch.setattr(nd, "_merged", counted)
         assert check_nd(p, SIG) == []
         assert calls <= 4 * n
         calls = 0
@@ -171,8 +187,35 @@ def test_discharge_label_reused_in_another_scope_checks():
     right = _r("/I", None, (1,), _r("*I", None, (), _h(2, "b", "np"), _h(1, "r", "s")))
     p = _r("*I", None, (), left, right)
     assert check_nd(p, SIG) == []
-    assert [h.label for h in open_leaves_in_order(p)] == [0, 2]
+    assert [h.label for h in open_hyps(p).values()] == [0, 2]
     assert_round_trip(p, SIG)
+
+
+def test_discharge_label_reused_in_a_nested_scope_round_trips():
+    # the outer \I withdraws q, labelled 1, and its body holds an inner
+    # /I that withdraws r, also labelled 1, after q: each rule withdraws
+    # the leaf its own body holds open
+    q = _h(1, "q", "s")
+    inner = _r("/I", None, (1,), _r("*I", None, (), _h(0, "x", "np"), _h(1, "r", "s")))
+    p = _r("\\I", None, (1,), _r("*I", None, (), q, inner))
+    assert check_nd(p, SIG) == []
+    assert [h.label for h in open_hyps(p).values()] == [0]
+    assert_round_trip(p, SIG)
+    ps = net_of_nd(p, SIG)[0]
+    (outer,) = [l for l in ps.frame.links if l.tag == "R\\"]
+    assert ps.frame.hypotheses == [1]  # x; q is vertex 0, r vertex 2
+    assert outer.conclusions == (0, outer.main)
+
+
+def test_open_hyps_walks_a_deep_proof_without_recursion():
+    # a \E chain of 3 000 leaves, far deeper than the default recursion
+    # limit: each rule's minor premiss is the chain so far, its major a
+    # fresh leaf s\s
+    n = 3000
+    p = _h(0, "a0", "s")
+    for label in range(1, n):
+        p = _r("\\E", None, (), p, _h(label, f"a{label}", "s\\s"))
+    assert list(open_hyps(p)) == list(range(n))
 
 
 # One input per rule that the rule refuses, as (name, mode, labels,
@@ -366,7 +409,7 @@ def test_extract_ring_up():
     assert check_nd(q, SIG) == []
     assert q.term == p.term
     assert q.formula == p.formula
-    assert [h.label for h in open_leaves_in_order(q)] == ps.frame.hypotheses
+    assert [h.label for h in open_hyps(q).values()] == ps.frame.hypotheses
 
 
 def assert_round_trip(p, sig):
@@ -391,7 +434,7 @@ def assert_round_trip(p, sig):
         q = extract_nd(verdict, sig)
     assert check_nd(q, sig) == [], check_nd(q, sig)
     assert q.term == p.term and q.formula == p.formula
-    got = {h.label: (h.term, h.formula) for h in open_leaves_in_order(q)}
+    got = {h.label: (h.term, h.formula) for h in open_hyps(q).values()}
     want = {v: (terms[v], ps.frame.formulas[v]) for v in ps.frame.hypotheses}
     assert got == want
 
@@ -560,7 +603,7 @@ def distinct_readings(hyp_pairs, goal, sig, expected):
 def test_extraction_is_injective_on_corpus(proof_corpus, mode, floor):
     readings = 0
     for proof, *_ in proof_corpus:
-        hyp_pairs = [(h.term, h.formula) for h in open_leaves_in_order(proof)]
+        hyp_pairs = [(h.term, h.formula) for h in open_hyps(proof).values()]
         frame = unfold([f for _, f in hyp_pairs], proof.formula, CORPUS_SIG)
         if linking_count(frame) <= 200:
             readings += distinct_readings(hyp_pairs, proof.formula, CORPUS_SIG,

@@ -28,7 +28,7 @@ from dispnet.formula import (
     random_formula,
 )
 from dispnet.lexicon import lexical_covers, load_grammar
-from dispnet.nd import extract_nd, nd_to_sexpr, open_leaves_in_order
+from dispnet.nd import extract_nd, nd_to_sexpr, open_hyps
 from dispnet.proofstructure import (
     Anchors,
     CountMismatch,
@@ -156,7 +156,7 @@ def test_sequent_mismatches_match_unfold_randomly():
 
 def test_sequent_mismatches_match_unfold_on_corpus(proof_corpus):
     for proof, *_ in proof_corpus:
-        hyps = [h.formula for h in open_leaves_in_order(proof)]
+        hyps = [h.formula for h in open_hyps(proof).values()]
         frame = unfold(hyps, proof.formula, CORPUS_SIG)
         assert (sequent_mismatches(hyps, proof.formula)
                 == count_mismatches(frame)), str(proof.term)
@@ -496,7 +496,7 @@ def anchors_of(hyp_terms, term):
 def test_pruning_keeps_every_net_on_corpus(proof_corpus):
     checked = 0
     for proof, *_ in proof_corpus:
-        leaves = open_leaves_in_order(proof)
+        leaves = open_hyps(proof).values()
         anchors = anchors_of([h.term for h in leaves], proof.term)
         frame = unfold([h.formula for h in leaves], proof.formula, CORPUS_SIG)
         if linking_count(frame) > 200:
@@ -518,7 +518,7 @@ def anchored_survivors(proof_corpus):
     index, its index in the full stream and its verdict."""
     survivors = []
     for i, (proof, *_) in enumerate(proof_corpus):
-        leaves = open_leaves_in_order(proof)
+        leaves = open_hyps(proof).values()
         anchors = anchors_of([h.term for h in leaves], proof.term)
         frame = unfold([h.formula for h in leaves], proof.formula, CORPUS_SIG)
         terms = {v: h.term for v, h in zip(frame.hypotheses, leaves)}
@@ -566,7 +566,7 @@ def test_derived_anchors_keep_every_net_on_corpus(proof_corpus):
         words = proof.term.words()
         if proof.term.sort or len(set(words)) < len(words):
             continue
-        leaves = open_leaves_in_order(proof)
+        leaves = open_hyps(proof).values()
         anchors = Anchors.of_terms(CORPUS_SIG, [(h.term, h.formula) for h in leaves],
                                    proof.formula, proof.term)
         assert anchors == anchors_of([h.term for h in leaves], proof.term), str(proof.term)
@@ -632,7 +632,7 @@ def test_search_skips_exactly_the_cyclic_linkings(proof_corpus):
     escape is stuck, so no net is cut."""
     cases = []  # signature, frame, hypothesis terms, expected string, anchors
     for proof, *_ in proof_corpus:
-        leaves = open_leaves_in_order(proof)
+        leaves = open_hyps(proof).values()
         anchors = anchors_of([h.term for h in leaves], proof.term)
         frame = unfold([h.formula for h in leaves], proof.formula, CORPUS_SIG)
         if linking_count(frame) <= 300:
@@ -711,7 +711,7 @@ def test_positions_match_place(proof_corpus):
     cases += [(CORPUS_SIG, frame, made_up_anchors(frame, CORPUS_SIG))
               for frame in small_d_frames()]
     for proof, *_ in proof_corpus:
-        leaves = open_leaves_in_order(proof)
+        leaves = open_hyps(proof).values()
         cases.append((CORPUS_SIG,
                       unfold([h.formula for h in leaves], proof.formula, CORPUS_SIG),
                       anchors_of([h.term for h in leaves], proof.term)))
@@ -757,7 +757,7 @@ def test_structure_read_through_linking_matches_copy(proof_corpus):
     # merged into their producers
     checked = 0
     for proof, *_ in proof_corpus:
-        leaves = open_leaves_in_order(proof)
+        leaves = open_hyps(proof).values()
         frame = unfold([h.formula for h in leaves], proof.formula, CORPUS_SIG)
         if linking_count(frame) > 200:
             continue
